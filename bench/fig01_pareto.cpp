@@ -64,8 +64,9 @@ main(int argc, char **argv)
                 SimResult result =
                     runHotFraction(config, wl.data, wl.profile(),
                                    fractions[point.sweep]);
+                result.label += '@';
                 result.label +=
-                    "@" + TextTable::num(fractions[point.sweep], 1);
+                    TextTable::num(fractions[point.sweep], 1);
                 return result;
             });
 

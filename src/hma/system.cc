@@ -1,6 +1,8 @@
 #include "hma/system.hh"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <queue>
 
 #include "common/logging.hh"
@@ -8,6 +10,7 @@
 #include "health/health.hh"
 #include "hma/core_model.hh"
 #include "prof/prof.hh"
+#include "reliability/avf.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ramp
@@ -86,37 +89,179 @@ HmaSystem::HmaSystem(const SystemConfig &config)
         ramp_fatal("system needs at least one core");
 }
 
-void
-HmaSystem::Residency::enter(PageId page, Cycle now)
+namespace
 {
-    enteredAt[page] = now;
-}
 
-void
-HmaSystem::Residency::leave(PageId page, Cycle now)
-{
-    const auto it = enteredAt.find(page);
-    if (it == enteredAt.end())
-        return;
-    accumulated[page] += now - it->second;
-    enteredAt.erase(it);
-}
+/** Slot of a page outside the run's traces. */
+constexpr std::uint32_t noSlot = UINT32_MAX;
 
-double
-HmaSystem::Residency::fraction(PageId page, Cycle makespan) const
+/** Cached-tier sentinel: re-read the placement on the next access. */
+constexpr std::uint8_t staleTier = 0xff;
+
+/** Residency sentinel: the page is not in HBM. */
+constexpr Cycle outOfHbm = UINT64_MAX;
+
+/** Pages per AVF line-block chunk (64 KB). */
+constexpr std::size_t chunkPages = 64;
+
+} // namespace
+
+struct HmaSystem::RunPages
 {
-    if (makespan == 0)
-        return 0.0;
-    Cycle total = 0;
-    const auto acc = accumulated.find(page);
-    if (acc != accumulated.end())
-        total += acc->second;
-    const auto open = enteredAt.find(page);
-    if (open != enteredAt.end())
-        total += makespan - std::min(makespan, open->second);
-    return std::min(1.0, static_cast<double>(total) /
-                             static_cast<double>(makespan));
-}
+    /** Per-access state of one page. */
+    struct Slot
+    {
+        AvfLineState *lines = nullptr; ///< null until first touch
+        Addr frameBase = 0;            ///< device address of the frame
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        std::uint8_t tier = staleTier; ///< MemoryId, or staleTier
+    };
+
+    /**
+     * Stamp every request with its page's slot: slots are handed
+     * out in trace order by an open-addressing PageId -> slot table
+     * (multiplicative hash; tenant ids `t << 24` are too sparse to
+     * index directly). Residency starts from the placement.
+     */
+    RunPages(const std::vector<CoreTrace> &traces,
+             const PlacementMap &placement)
+    {
+        rehash(1024);
+        requestSlots.resize(traces.size());
+        for (std::size_t core = 0; core < traces.size(); ++core) {
+            auto &out = requestSlots[core];
+            out.reserve(traces[core].size());
+            for (const MemRequest &req : traces[core])
+                out.push_back(intern(pageOf(req.addr)));
+        }
+        slots.resize(pages.size());
+        hbmCycles.assign(pages.size(), 0);
+        hbmSince.resize(pages.size());
+        for (std::size_t slot = 0; slot < pages.size(); ++slot)
+            hbmSince[slot] =
+                placement.memoryOf(pages[slot]) == MemoryId::HBM
+                    ? 0
+                    : outOfHbm;
+        touchOrder.reserve(pages.size());
+    }
+
+    /** Slot of a page, or noSlot when the traces never touch it. */
+    std::uint32_t find(PageId page) const
+    {
+        const std::size_t i = bucket(page);
+        return keys[i] == page ? keySlots[i] : noSlot;
+    }
+
+    /** First access: allocate the page's line block. */
+    void firstTouch(std::uint32_t slot)
+    {
+        if (chunkUsed == chunkPages) {
+            lineChunks.push_back(std::make_unique<AvfLineState[]>(
+                chunkPages * linesPerPage));
+            chunkUsed = 0;
+        }
+        slots[slot].lines =
+            lineChunks.back().get() + chunkUsed++ * linesPerPage;
+        touchOrder.push_back(slot);
+    }
+
+    /**
+     * A placement mutation moved the page (or gave it a new frame):
+     * drop its cached tier/frame and track HBM entry and exit.
+     */
+    void moved(PageId page, MemoryId from, MemoryId to, Cycle now)
+    {
+        const std::uint32_t slot = find(page);
+        if (slot == noSlot)
+            return;
+        slots[slot].tier = staleTier;
+        if (from == to)
+            return;
+        if (to == MemoryId::HBM) {
+            hbmSince[slot] = now;
+        } else if (hbmSince[slot] != outOfHbm) {
+            hbmCycles[slot] += now - hbmSince[slot];
+            hbmSince[slot] = outOfHbm;
+        }
+    }
+
+    /** Accesses to the page so far (0 when untouched). */
+    std::uint64_t hotness(PageId page) const
+    {
+        const std::uint32_t slot = find(page);
+        return slot == noSlot
+                   ? 0
+                   : slots[slot].reads + slots[slot].writes;
+    }
+
+    /** Share of [0, makespan) the slot's page spent in HBM. */
+    double hbmFraction(std::uint32_t slot, Cycle makespan) const
+    {
+        Cycle total = hbmCycles[slot];
+        if (hbmSince[slot] != outOfHbm)
+            total += makespan - std::min(makespan, hbmSince[slot]);
+        return std::min(1.0, static_cast<double>(total) /
+                                 static_cast<double>(makespan));
+    }
+
+    /** Slot -> page. */
+    std::vector<PageId> pages;
+    std::vector<Slot> slots;
+    /** Per core, the slot of every request. */
+    std::vector<std::vector<std::uint32_t>> requestSlots;
+    /** Slots in first-touch order of the global issue stream. */
+    std::vector<std::uint32_t> touchOrder;
+    /** @{ @name HBM residency for the SER integral */
+    std::vector<Cycle> hbmSince; ///< entry cycle, or outOfHbm
+    std::vector<Cycle> hbmCycles; ///< closed HBM intervals
+    /** @} */
+
+  private:
+    /** The page's bucket, or the empty one ending its probe run. */
+    std::size_t bucket(PageId page) const
+    {
+        std::size_t i = static_cast<std::size_t>(
+            (page * 0x9e3779b97f4a7c15ull) >> shift);
+        while (keys[i] != page && keys[i] != invalidPage)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    std::uint32_t intern(PageId page)
+    {
+        const std::size_t i = bucket(page);
+        if (keys[i] == page)
+            return keySlots[i];
+        const auto slot = static_cast<std::uint32_t>(pages.size());
+        keys[i] = page;
+        keySlots[i] = slot;
+        pages.push_back(page);
+        if (2 * pages.size() > keys.size()) // load factor <= 1/2
+            rehash(2 * keys.size());
+        return slot;
+    }
+
+    void rehash(std::size_t size)
+    {
+        keys.assign(size, invalidPage);
+        keySlots.assign(size, 0);
+        mask = size - 1;
+        shift = 64 - static_cast<unsigned>(std::countr_zero(size));
+        for (std::size_t slot = 0; slot < pages.size(); ++slot) {
+            const std::size_t i = bucket(pages[slot]);
+            keys[i] = pages[slot];
+            keySlots[i] = static_cast<std::uint32_t>(slot);
+        }
+    }
+
+    std::vector<PageId> keys; ///< invalidPage marks an empty bucket
+    std::vector<std::uint32_t> keySlots;
+    std::size_t mask = 0;
+    unsigned shift = 64;
+    std::vector<std::unique_ptr<AvfLineState[]>> lineChunks;
+    std::size_t chunkUsed = chunkPages;
+};
 
 namespace
 {
@@ -154,8 +299,7 @@ HmaSystem::scheduleTransfer(Cycle &next_slot,
 void
 HmaSystem::applyDecision(PlacementMap &map,
                          const MigrationDecision &decision, Cycle now,
-                         Residency &residency,
-                         std::deque<MigOp> &transfers)
+                         RunPages &run, std::deque<MigOp> &transfers)
 {
     // Pace this decision's copies after any still-draining ones.
     Cycle next_slot = now;
@@ -167,7 +311,7 @@ HmaSystem::applyDecision(PlacementMap &map,
         auto src_addrs = pageLineAddrs(map, page);
         if (!map.evictToDdr(page))
             continue;
-        residency.leave(page, now);
+        run.moved(page, MemoryId::HBM, MemoryId::DDR, now);
         scheduleTransfer(next_slot, src_addrs, MemoryId::HBM,
                          pageLineAddrs(map, page), MemoryId::DDR,
                          transfers);
@@ -178,8 +322,8 @@ HmaSystem::applyDecision(PlacementMap &map,
         auto ddr_addrs = pageLineAddrs(map, ddr_page);
         if (!map.swap(hbm_page, ddr_page))
             continue;
-        residency.leave(hbm_page, now);
-        residency.enter(ddr_page, now);
+        run.moved(hbm_page, MemoryId::HBM, MemoryId::DDR, now);
+        run.moved(ddr_page, MemoryId::DDR, MemoryId::HBM, now);
         // Out-of-HBM copy and into-HBM copy; frames were exchanged,
         // so the new device addresses are the old partner's.
         scheduleTransfer(next_slot, hbm_addrs, MemoryId::HBM,
@@ -194,7 +338,7 @@ HmaSystem::applyDecision(PlacementMap &map,
         auto src_addrs = pageLineAddrs(map, page);
         if (!map.promoteToHbm(page))
             continue;
-        residency.enter(page, now);
+        run.moved(page, MemoryId::DDR, MemoryId::HBM, now);
         scheduleTransfer(next_slot, src_addrs, MemoryId::DDR,
                          pageLineAddrs(map, page), MemoryId::HBM,
                          transfers);
@@ -223,10 +367,7 @@ HmaSystem::applyDecision(PlacementMap &map,
             map.moveRange(op.first, op.pages, dst);
         for (std::size_t i = 0; i < movable.size(); ++i) {
             const PageId page = movable[i];
-            if (dst == MemoryId::HBM)
-                residency.enter(page, now);
-            else
-                residency.leave(page, now);
+            run.moved(page, src, dst, now);
             scheduleTransfer(next_slot, src_addrs[i], src,
                              pageLineAddrs(map, page), dst,
                              transfers);
@@ -267,8 +408,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                            std::uint64_t epoch, Cycle now,
                            PlacementMap &map, MigrationEngine *engine,
                            ResponseState &response, SimResult &result,
-                           Residency &residency,
-                           std::deque<MigOp> &transfers)
+                           RunPages &run, std::deque<MigOp> &transfers)
 {
     const auto faults = injector.onEpoch(epoch);
 
@@ -339,19 +479,13 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             }
             ++result.pagesRetired;
             RAMP_TELEM(systemTelemetry().faultsRetired.add(1));
-            if (outcome.from == MemoryId::HBM &&
-                outcome.to == MemoryId::DDR)
-                residency.leave(fault.page, now);
-            else if (outcome.from == MemoryId::DDR &&
-                     outcome.to == MemoryId::HBM)
-                residency.enter(fault.page, now);
+            // A same-tier remap still swaps the frame.
+            run.moved(fault.page, outcome.from, outcome.to, now);
             // Salvage copy onto the fresh frame (same tier when the
             // survivor was full; the remap is then owed and retried).
             scheduleTransfer(next_slot, src_addrs, outcome.from,
                              pageLineAddrs(map, fault.page),
                              outcome.to, transfers);
-            const PageStats *stats =
-                result.profile.find(fault.page);
             RAMP_EVLOG({
                 eventlog::EventRecord record;
                 record.kind = eventlog::EventKind::Retire;
@@ -362,12 +496,8 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
                 record.src = eventlog::tierOf(outcome.from);
                 record.dst = eventlog::tierOf(outcome.to);
                 record.hotness =
-                    stats == nullptr
-                        ? 0.0f
-                        : static_cast<float>(stats->hotness());
-                record.avf = stats == nullptr
-                                 ? 0.0f
-                                 : static_cast<float>(stats->avf);
+                    static_cast<float>(run.hotness(fault.page));
+                record.avf = 0.0f; // AVF folds at run end
                 eventlog::emit(record);
             });
             if (outcome.crossedTier) {
@@ -437,7 +567,7 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
             const auto src_addrs = pageLineAddrs(map, page);
             map.moveRange(page, 1, MemoryId::HBM);
             map.pinRange(page, 1);
-            residency.enter(page, now);
+            run.moved(page, MemoryId::DDR, MemoryId::HBM, now);
             scheduleTransfer(next_slot, src_addrs, MemoryId::DDR,
                              pageLineAddrs(map, page),
                              MemoryId::HBM, transfers);
@@ -490,14 +620,15 @@ HmaSystem::applyFaultEpoch(FaultInjector &injector,
     if (backlog > 0) {
         const std::uint64_t budget = std::min<std::uint64_t>(
             backlog, injector.config().sweepCapPages);
-        const auto victims =
-            sweepVictims(map, result.profile, budget);
+        const auto victims = sweepVictims(
+            map, [&run](PageId page) { return run.hotness(page); },
+            budget);
         std::uint64_t swept = 0;
         for (const PageId page : victims) {
             const auto src_addrs = pageLineAddrs(map, page);
             if (map.moveRange(page, 1, MemoryId::DDR) == 0)
                 continue;
-            residency.leave(page, now);
+            run.moved(page, MemoryId::HBM, MemoryId::DDR, now);
             scheduleTransfer(next_slot, src_addrs, MemoryId::HBM,
                              pageLineAddrs(map, page),
                              MemoryId::DDR, transfers);
@@ -564,11 +695,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     RAMP_PROF_SCOPE_PMU(run_prof, "hma.run");
 
     SimResult result;
-    AvfTracker avf;
-    Residency residency;
-
-    for (const PageId page : placement.hbmPages())
-        residency.enter(page, 0);
+    RunPages run(traces, placement);
 
     std::vector<CoreModel> cores;
     cores.reserve(traces.size());
@@ -668,7 +795,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                     RAMP_PROF_SCOPE(fault_prof, "hma.fault_epoch");
                     applyFaultEpoch(*injector, inject_epoch,
                                     next_inject, placement, engine,
-                                    response, result, residency,
+                                    response, result, run,
                                     transfers);
                 }
                 RAMP_HEALTH({
@@ -720,7 +847,7 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                 });
                 last_epoch = next_boundary;
                 applyDecision(placement, decision, next_boundary,
-                              residency, transfers);
+                              run, transfers);
                 RAMP_HEALTH(health_sample(
                     next_boundary / engine->interval(),
                     decision.pagesMoved()));
@@ -731,7 +858,23 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
 
         const MemRequest &req = core.current();
         const PageId page = pageOf(req.addr);
-        const MemoryId mem = placement.memoryOf(page);
+        const std::uint32_t slot =
+            run.requestSlots[core_idx][core.position()];
+        RunPages::Slot &state = run.slots[slot];
+        if (state.lines == nullptr)
+            run.firstTouch(slot);
+        if (state.tier == staleTier) {
+            state.tier =
+                static_cast<std::uint8_t>(placement.memoryOf(page));
+            state.frameBase = placement.deviceAddr(pageBase(page));
+        }
+        const MemoryId mem = static_cast<MemoryId>(state.tier);
+        const Addr dev_addr = state.frameBase + req.addr % pageSize;
+#ifndef NDEBUG
+        if (mem != placement.memoryOf(page) ||
+            dev_addr != placement.deviceAddr(req.addr))
+            ramp_panic("stale cached placement of page ", page);
+#endif
 
         if (engine != nullptr)
             engine->onAccess(page, req.isWrite, mem);
@@ -740,10 +883,13 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         const Cycle penalty =
             engine != nullptr ? engine->remapPenalty(page) : 0;
 
-        avf.onAccess(req.addr, req.isWrite, issue_t);
-        result.profile.recordAccess(page, req.isWrite);
+        avfLineAccess(state.lines[lineInPage(req.addr)], req.isWrite,
+                      issue_t);
+        if (req.isWrite)
+            ++state.writes;
+        else
+            ++state.reads;
 
-        const Addr dev_addr = placement.deviceAddr(req.addr);
         DramMemory &dram = mem == MemoryId::HBM ? hbm_ : ddr_;
         const Cycle completion =
             dram.access(issue_t + penalty, dev_addr, req.isWrite);
@@ -759,8 +905,23 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                        ? systemTelemetry().hbmAccesses.add(1)
                        : systemTelemetry().ddrAccesses.add(1));
 
-        if (core.retire(req.isWrite ? issue_t : completion))
+        if (core.retire(req.isWrite ? issue_t : completion)) {
             pq.push({core.nextIssueTime(), core_idx});
+            // Start loading what the core's next request needs, one
+            // round of the other cores ahead of its access: its AVF
+            // line (the previous round fetched its slot) and the slot
+            // of the request after it. Line blocks miss the host
+            // caches at campaign footprints. Kept inline: in a member
+            // function of RunPages, gcc 12 -O2 dropped the prefetches.
+            const auto &core_slots = run.requestSlots[core_idx];
+            const std::size_t next = core.position();
+            if (next + 1 < core_slots.size())
+                __builtin_prefetch(&run.slots[core_slots[next + 1]]);
+            const AvfLineState *lines = run.slots[core_slots[next]].lines;
+            if (lines != nullptr)
+                __builtin_prefetch(lines +
+                                   lineInPage(core.current().addr));
+        }
     }
 
     // Finish any still-draining page copies.
@@ -785,21 +946,38 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             : result.hbmAccessFraction /
                   static_cast<double>(result.requests);
 
-    avf.finalize(result.makespan);
-    result.memoryAvf = avf.memoryAvf();
-    for (const auto &[page, page_avf] : avf.pageAvfs())
-        result.profile.setAvf(page, page_avf);
+    // Fold the slots into the profile in first-touch order: the
+    // same insertion sequence as per-access recording, so the
+    // profile iterates (and the sums below add up) in the same order.
+    const double window = static_cast<double>(linesPerPage) *
+                          static_cast<double>(result.makespan);
+    std::vector<Cycle> ace(run.pages.size());
+    for (const std::uint32_t slot : run.touchOrder) {
+        const RunPages::Slot &state = run.slots[slot];
+        ace[slot] = pageAceTime(state.lines);
+        PageStats stats;
+        stats.reads = state.reads;
+        stats.writes = state.writes;
+        stats.avf = static_cast<double>(ace[slot]) / window; // Eq 1
+        result.profile.setStats(run.pages[slot], stats);
+    }
 
-    // Residency-weighted Equation 2.
+    // Footprint-mean AVF and residency-weighted Equation 2.
     const SerParams &ser = config_.ser;
+    double ace_sum = 0;
     for (const auto &[page, stats] : result.profile.pages()) {
-        const double in_hbm =
-            residency.fraction(page, result.makespan);
+        const std::uint32_t slot = run.find(page);
+        ace_sum += static_cast<double>(ace[slot]);
+        const double in_hbm = run.hbmFraction(slot, result.makespan);
         result.ser += stats.avf *
                       (ser.fitPerPage(MemoryId::HBM) * in_hbm +
                        ser.fitPerPage(MemoryId::DDR) *
                            (1.0 - in_hbm));
     }
+    if (!run.touchOrder.empty())
+        result.memoryAvf =
+            ace_sum /
+            (window * static_cast<double>(run.touchOrder.size()));
 
     result.hbmStats = hbm_.stats();
     result.ddrStats = ddr_.stats();

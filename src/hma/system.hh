@@ -3,8 +3,8 @@
  * The HMA system simulator: 16 cores, two memories, one placement.
  *
  * Ties every substrate together: cores replay traces through the
- * placement map onto the two DRAM timing models, the AVF tracker
- * watches the global request stream, an optional migration engine is
+ * placement map onto the two DRAM timing models, per-line ACE state
+ * follows the global request stream, an optional migration engine is
  * driven at interval boundaries (its page moves are charged as real
  * line transfers into both memories), and the result carries IPC,
  * per-memory statistics, the measured page profile, and the
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/memory.hh"
@@ -27,7 +26,6 @@
 #include "migration/engine.hh"
 #include "placement/map.hh"
 #include "placement/profile.hh"
-#include "reliability/avf.hh"
 #include "trace/trace.hh"
 
 namespace ramp
@@ -155,26 +153,21 @@ class HmaSystem
         bool isWrite;
     };
 
-    /** Per-page HBM residency bookkeeping for the SER integral. */
-    struct Residency
-    {
-        std::unordered_map<PageId, Cycle> enteredAt;
-        std::unordered_map<PageId, Cycle> accumulated;
-
-        void enter(PageId page, Cycle now);
-        void leave(PageId page, Cycle now);
-        double fraction(PageId page, Cycle makespan) const;
-    };
+    /**
+     * The run's per-page state on a dense slot index: cached tier
+     * and frame, access counts, AVF line blocks and HBM residency
+     * (defined in system.cc; DESIGN.md §4.2).
+     */
+    struct RunPages;
 
     /**
      * Apply a migration decision: move the pages in the map, update
-     * residency, and schedule each page's 64 line reads + 64 line
-     * writes as paced transfers starting at the boundary.
+     * the run's page state, and schedule each page's 64 line reads +
+     * 64 line writes as paced transfers starting at the boundary.
      */
     void applyDecision(PlacementMap &map,
                        const MigrationDecision &decision, Cycle now,
-                       Residency &residency,
-                       std::deque<MigOp> &transfers);
+                       RunPages &run, std::deque<MigOp> &transfers);
 
     /** Schedule one page copy as paced line transfers. */
     void scheduleTransfer(Cycle &next_slot,
@@ -194,8 +187,7 @@ class HmaSystem
                          std::uint64_t epoch, Cycle now,
                          PlacementMap &map, MigrationEngine *engine,
                          ResponseState &response, SimResult &result,
-                         Residency &residency,
-                         std::deque<MigOp> &transfers);
+                         RunPages &run, std::deque<MigOp> &transfers);
 
     SystemConfig config_;
     DramMemory hbm_;

@@ -10,13 +10,8 @@ AvfTracker::onAccess(Addr addr, bool is_write, Cycle now)
 {
     if (finalized())
         ramp_panic("AvfTracker accessed after finalize");
-    auto &line = pages_[pageOf(addr)].lines[lineInPage(addr)];
-    if (!is_write && now > line.lastAccess) {
-        // The line had to survive since its previous access (or its
-        // initialisation at t = 0) for this read to be correct.
-        line.aceTime += now - line.lastAccess;
-    }
-    line.lastAccess = now;
+    avfLineAccess(pages_[pageOf(addr)].lines[lineInPage(addr)],
+                  is_write, now);
 }
 
 void
@@ -37,10 +32,7 @@ AvfTracker::pageAvf(PageId page) const
     const auto it = pages_.find(page);
     if (it == pages_.end())
         return 0.0;
-    Cycle ace = 0;
-    for (const auto &line : it->second.lines)
-        ace += line.aceTime;
-    return static_cast<double>(ace) /
+    return static_cast<double>(pageAceTime(it->second.lines)) /
            (static_cast<double>(linesPerPage) *
             static_cast<double>(totalTime_));
 }
@@ -53,12 +45,8 @@ AvfTracker::memoryAvf() const
     if (pages_.empty())
         return 0.0;
     double sum = 0;
-    for (const auto &[page, state] : pages_) {
-        Cycle ace = 0;
-        for (const auto &line : state.lines)
-            ace += line.aceTime;
-        sum += static_cast<double>(ace);
-    }
+    for (const auto &[page, state] : pages_)
+        sum += static_cast<double>(pageAceTime(state.lines));
     return sum / (static_cast<double>(linesPerPage) *
                   static_cast<double>(totalTime_) *
                   static_cast<double>(pages_.size()));

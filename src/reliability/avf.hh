@@ -24,7 +24,44 @@
 namespace ramp
 {
 
-/** Per-line ACE interval accumulator composed to page AVF. */
+/** ACE bookkeeping of one 64 B line. */
+struct AvfLineState
+{
+    Cycle lastAccess = 0;
+    Cycle aceTime = 0;
+};
+
+/**
+ * The per-line ACE rule: the interval before a read is ACE, the
+ * interval before a write is dead. The one definition shared by
+ * AvfTracker and HmaSystem's per-run line blocks.
+ */
+inline void
+avfLineAccess(AvfLineState &line, bool is_write, Cycle now)
+{
+    if (!is_write && now > line.lastAccess) {
+        // The line had to survive since its previous access (or its
+        // initialisation at t = 0) for this read to be correct.
+        line.aceTime += now - line.lastAccess;
+    }
+    line.lastAccess = now;
+}
+
+/** Summed ACE time of a page's linesPerPage lines. */
+inline Cycle
+pageAceTime(const AvfLineState *lines)
+{
+    Cycle ace = 0;
+    for (std::uint64_t l = 0; l < linesPerPage; ++l)
+        ace += lines[l].aceTime;
+    return ace;
+}
+
+/**
+ * Per-line ACE interval accumulator composed to page AVF. HmaSystem
+ * keeps its own per-run line blocks; this class is the reference
+ * model tests compare them against.
+ */
 class AvfTracker
 {
   public:
@@ -57,15 +94,9 @@ class AvfTracker
     void reset();
 
   private:
-    struct LineState
-    {
-        Cycle lastAccess = 0;
-        Cycle aceTime = 0;
-    };
-
     struct PageState
     {
-        LineState lines[linesPerPage];
+        AvfLineState lines[linesPerPage];
     };
 
     std::unordered_map<PageId, PageState> pages_;

@@ -385,8 +385,10 @@ TEST(BenchDiff, FlagsRegressionsDirectionally)
     EXPECT_TRUE(throughput_regressed);
 
     // A generous relax multiplier absorbs the same deltas.
+    DiffOptions relax_options;
+    relax_options.relax = 10.0;
     const auto relaxed = perf::compareBenchReports(
-        base, cand, DiffOptions{.relax = 10.0}, error);
+        base, cand, relax_options, error);
     for (const auto &diff : relaxed)
         EXPECT_FALSE(diff.regressed) << diff.name;
 }

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "hma/system.hh"
+#include "reliability/avf.hh"
 
 namespace ramp
 {
@@ -149,17 +153,53 @@ TEST(System, PinnedPagesSurviveMigration)
 
 TEST(System, AvfMatchesStandaloneTracker)
 {
-    const auto config = smallConfig();
+    // Unbounded MSHRs and ROB make every issue time compute-limited,
+    // so the global issue stream is known up front: the cores' requests
+    // merged by (issue time, core), the simulator's tie order.
+    auto config = smallConfig();
+    config.robSize = 1u << 30;
+    config.maxOutstandingReads = 1u << 30;
     const auto traces = smallTraces(4, 1000);
+
+    struct Issue
+    {
+        Cycle time;
+        std::size_t core;
+        std::size_t index;
+    };
+    std::vector<Issue> stream;
+    for (std::size_t core = 0; core < traces.size(); ++core) {
+        double ready = 0; // CoreModel's fractional compute clock
+        for (std::size_t i = 0; i < traces[core].size(); ++i) {
+            ready += static_cast<double>(traces[core][i].gap) /
+                     static_cast<double>(config.issueWidth);
+            stream.push_back({static_cast<Cycle>(ready), core, i});
+        }
+    }
+    std::sort(stream.begin(), stream.end(),
+              [](const Issue &a, const Issue &b) {
+                  return std::tie(a.time, a.core, a.index) <
+                         std::tie(b.time, b.core, b.index);
+              });
+
     HmaSystem system(config);
     const auto result = system.run(
         traces, PlacementMap(config.hbmPages()));
-    // All pages profiled and all AVFs in [0, 1].
-    for (const auto &[page, stats] : result.profile.pages()) {
-        EXPECT_GE(stats.avf, 0.0);
-        EXPECT_LE(stats.avf, 1.0);
-        EXPECT_GT(stats.hotness(), 0u);
+
+    AvfTracker reference;
+    for (const Issue &issue : stream) {
+        const MemRequest &req = traces[issue.core][issue.index];
+        reference.onAccess(req.addr, req.isWrite, issue.time);
     }
+    reference.finalize(result.makespan);
+
+    ASSERT_EQ(result.profile.footprintPages(),
+              reference.touchedPages());
+    for (const auto &[page, stats] : result.profile.pages()) {
+        EXPECT_EQ(stats.avf, reference.pageAvf(page)) << page;
+        EXPECT_GT(stats.avf, 0.0) << page;
+    }
+    EXPECT_EQ(result.memoryAvf, reference.memoryAvf());
 }
 
 TEST(System, EmptyTracesYieldEmptyResult)

@@ -214,21 +214,6 @@ flagValue(const std::string &tool, const char *flag,
     return positional[++i];
 }
 
-/**
- * Run a microbenchmark suite under the harness: positional
- * arguments select cases (all when none given), results print as a
- * table and fold into the --bench-out document.
- */
-inline std::vector<perf::BenchResult>
-runMicrobenchSuite(Harness &harness, const perf::Microbench &suite,
-                   const perf::BenchOptions &options = {})
-{
-    const auto results =
-        suite.run(options, harness.options().positional);
-    harness.addMicrobenchResults(results);
-    return results;
-}
-
 } // namespace ramp::bench
 
 #endif // RAMP_BENCH_BENCH_COMMON_HH

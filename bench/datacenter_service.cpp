@@ -10,10 +10,9 @@
  * rebalancing, per-tenant epoch replay — on the harness pool, one
  * task per shard. Reports aggregate accesses/sec, per-tenant p99
  * slowdown against solo-run baselines, HBM-share fairness (Jain
- * index), and the per-shard outcome; the totals land in the
- * --bench-out document (committed baseline
- * BENCH_datacenter_service.json, gated by bench_diff's `service`
- * family). Per-tenant results are invariant under --jobs.
+ * index), and the per-shard outcome. Per-tenant results are
+ * invariant under --jobs; only the host-time line varies. Host
+ * speed is measured by perfbench's service_storm workload.
  *
  * Flags (in addition to the shared harness flags):
  *   --tenants N     tenant streams           (default 64)

@@ -7,9 +7,11 @@
  * millions of 4 KB pages) while the RegionMonitor's span table is
  * bounded by maxRegions regardless of footprint. This bench drives
  * one precomputed Zipf access stream through both trackers and
- * reports accesses/sec plus the tracked-metadata footprint, so the
- * "bounded metadata, faster tracking" claim is a measured number
- * gated by bench_diff (committed baseline BENCH_region_scale.json).
+ * prints accesses/sec (a perf::Microbench table) plus the
+ * tracked-metadata footprint, so the "bounded metadata, faster
+ * tracking" claim is a measured number. The tracking cases run
+ * under kernel.<case> profiler scopes, so --profile-out attributes
+ * their cycles.
  *
  * Flags (in addition to the shared harness flags):
  *   --pages N      footprint in pages        (default 1,000,000)
@@ -263,7 +265,6 @@ main(int argc, char **argv)
             buildSuite(options, stream, adapted);
         const auto results =
             suite.run(perf::BenchOptions{}, options.cases);
-        harness.addMicrobenchResults(results);
         printMicrobenchTable(
             results, "region_scale: tracking throughput");
 

@@ -17,6 +17,23 @@
 namespace ramp
 {
 
+/** SplitMix64's golden-gamma state increment. */
+inline constexpr std::uint64_t splitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * One SplitMix64 step (Steele et al.): advance `state` by the golden
+ * gamma and return the mixed value. The one copy behind Rng seeding,
+ * runner::taskSeed(), and the service's tenant routing and streams.
+ */
+inline std::uint64_t
+splitMix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += splitMix64Gamma);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** xoshiro256** pseudo-random generator with convenience draws. */
 class Rng
 {

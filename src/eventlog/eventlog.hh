@@ -6,9 +6,7 @@
  * fault landing) can be recorded as a compact EventRecord
  * (record.hh). Instrumentation sites are gated exactly like the
  * telemetry macros: recording disabled at runtime costs one relaxed
- * atomic load and branch per site, and defining
- * RAMP_EVENTLOG_DISABLED at compile time removes the sites entirely
- * (the subsystem still links; drains are just empty).
+ * atomic load and branch per site.
  *
  * Records land in per-thread ring buffers (one short uncontended
  * lock per record on the owning thread). A full ring drains into
@@ -186,17 +184,11 @@ void reset();
  *       ramp::eventlog::emit(record);
  *   });
  */
-#ifndef RAMP_EVENTLOG_DISABLED
 #define RAMP_EVLOG(...) \
     do { \
         if (::ramp::eventlog::enabled()) { \
             __VA_ARGS__; \
         } \
     } while (0)
-#else
-#define RAMP_EVLOG(...) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_EVENTLOG_EVENTLOG_HH

@@ -46,11 +46,11 @@ store()
     return instance;
 }
 
-/** Host/scheduling-dependent counter families the timeline skips. */
+/** Scheduling-dependent counter family the timeline skips. */
 bool
 hostDependentCounter(const std::string &name)
 {
-    return name.rfind("proc.", 0) == 0 || name.rfind("pool.", 0) == 0;
+    return name.rfind("pool.", 0) == 0;
 }
 
 std::string
@@ -427,8 +427,8 @@ timelineJsonl(const std::string &tool)
 
     // The registry delta since enable: sharded counters sum exactly
     // and independently of scheduling, so this one record is
-    // byte-stable at any --jobs once the host-dependent families
-    // (proc.*, pool.*) are dropped.
+    // byte-stable at any --jobs once the scheduling-dependent
+    // pool.* family is dropped.
     out << "{\"type\": \"metrics\", \"counters\": {";
     bool first = true;
     const auto current = telemetry::metrics().snapshot().counters;

@@ -3,7 +3,7 @@
  * Epoch-aligned timeline telemetry + SLO health monitor.
  *
  * Every other observability surface (metrics, traces, the decision
- * ledger, BENCH reports) is an end-of-run snapshot. This subsystem
+ * ledger) is an end-of-run snapshot. This subsystem
  * is the continuous layer: at every epoch boundary — an HmaSystem
  * injector/migration epoch, or a PlacementService global epoch —
  * the simulator hands the recorder one TimelineSample carrying the
@@ -22,8 +22,8 @@
  * delta demanded by the timeline contract is carried by one final
  * "metrics" record: the counter totals accumulated since health was
  * enabled (sharded counters sum exactly, so the delta is
- * schedule-independent), minus the host-dependent `proc.` / `pool.`
- * families.
+ * schedule-independent), minus the scheduling-dependent `pool.`
+ * family.
  *
  * Alerts fan out four ways, all deterministic: an `alert` record in
  * the decision ledger (run/seq-stamped like every other record),
@@ -32,8 +32,7 @@
  * layer can use for admission control).
  *
  * Gating mirrors telemetry/eventlog exactly: disabled instrumented
- * sites cost one relaxed atomic load and branch (RAMP_HEALTH), and
- * defining RAMP_HEALTH_DISABLED compiles the sites out entirely.
+ * sites cost one relaxed atomic load and branch (RAMP_HEALTH).
  *
  * Run labels come from the calling thread's eventlog::RunScope, so
  * the harness enables the ledger whenever the timeline is on;
@@ -240,17 +239,11 @@ void reset();
  *       ramp::health::record(std::move(sample));
  *   });
  */
-#ifndef RAMP_HEALTH_DISABLED
 #define RAMP_HEALTH(...) \
     do { \
         if (::ramp::health::enabled()) { \
             __VA_ARGS__; \
         } \
     } while (0)
-#else
-#define RAMP_HEALTH(...) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_HEALTH_HEALTH_HH

@@ -724,12 +724,12 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     // epoch's deltas (health/health.hh). High-water marks live out
     // here so the deltas survive across boundaries; the capture
     // costs one relaxed load per boundary when the timeline is off.
-    [[maybe_unused]] std::uint64_t health_prev_faults = 0;
-    [[maybe_unused]] std::uint64_t health_prev_retired = 0;
-    [[maybe_unused]] std::uint64_t health_prev_lost = 0;
-    [[maybe_unused]] std::uint64_t health_prev_moves = 0;
-    [[maybe_unused]] auto health_sample = [&](std::uint64_t epoch,
-                                              std::uint64_t churn) {
+    std::uint64_t health_prev_faults = 0;
+    std::uint64_t health_prev_retired = 0;
+    std::uint64_t health_prev_lost = 0;
+    std::uint64_t health_prev_moves = 0;
+    auto health_sample = [&](std::uint64_t epoch,
+                             std::uint64_t churn) {
         health::TimelineSample sample;
         sample.source = "system";
         sample.epoch = epoch;

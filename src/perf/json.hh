@@ -2,9 +2,10 @@
  * @file
  * Minimal JSON value parser for the repo's own artifacts.
  *
- * bench_diff must re-read the BENCH_<tool>.json documents the
- * harness writes, and the tests validate every emitted document by
- * parsing it back, so the repo needs a reader to match its writers.
+ * The analyzers (ramp_explain, ramp_health, ramp_prof) re-read the
+ * documents the harness writes, and the tests validate every emitted
+ * document by parsing it back, so the repo needs a reader to match
+ * its writers.
  * This is a small recursive-descent parser over the full JSON
  * grammar (objects, arrays, strings with escapes, numbers, bools,
  * null) — sufficient for machine-written documents; it does not aim

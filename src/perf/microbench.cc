@@ -76,7 +76,7 @@ Microbench::run(const BenchOptions &options,
         // Every fn() invocation (warmup and timed) runs under a
         // PMU-sampled "kernel.<case>" phase, so profiles attribute
         // cycles, IPC, and LLC misses per hot kernel.
-        [[maybe_unused]] const char *prof_name =
+        const char *prof_name =
             prof::internName("kernel." + c.name);
         BenchResult result;
         result.name = c.name;

@@ -12,8 +12,8 @@
  * into a RunningStat. The report quotes mean, stddev, a 95%%
  * confidence half-width, and the min-of-N — the usual
  * noise-resistant estimate of the kernel's true cost — plus the
- * throughput derived from it. Results feed the BENCH_<tool>.json
- * emitter (bench_report.hh) that bench_diff gates regressions on.
+ * throughput derived from it. region_scale prints its
+ * tracking-throughput table from these results.
  */
 
 #ifndef RAMP_PERF_MICROBENCH_HH
@@ -55,7 +55,7 @@ struct BenchOptions
 /** One measured case of the suite. */
 struct BenchResult
 {
-    /** Case name (stable across runs: bench_diff joins on it). */
+    /** Case name (stable across runs). */
     std::string name;
 
     /** What one item is ("accesses", "trials", "tasks"...). */

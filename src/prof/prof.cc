@@ -1,6 +1,5 @@
 #include "prof/prof.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -358,53 +357,6 @@ foldedStacks()
     for (const PhaseStat &phase : snap.phases)
         if (phase.selfCycles > 0)
             out << phase.path << " " << phase.selfCycles << "\n";
-    return out.str();
-}
-
-std::string
-profileBlockJson()
-{
-    using telemetry::jsonEscape;
-
-    const ProfileSnapshot snap = snapshot();
-    if (snap.phases.empty())
-        return "";
-
-    std::uint64_t total = 0;
-    for (const PhaseStat &phase : snap.phases)
-        if (phase.depth == 0)
-            total += phase.totalCycles;
-
-    // Top self-cycle phases, path-sorted within equal cycles so
-    // the block is deterministic.
-    std::vector<const PhaseStat *> top;
-    for (const PhaseStat &phase : snap.phases)
-        top.push_back(&phase);
-    std::sort(top.begin(), top.end(),
-              [](const PhaseStat *a, const PhaseStat *b) {
-                  if (a->selfCycles != b->selfCycles)
-                      return a->selfCycles > b->selfCycles;
-                  return a->path < b->path;
-              });
-    if (top.size() > 5)
-        top.resize(5);
-
-    std::ostringstream out;
-    out << "{\n";
-    out << "    \"schema\": \"" << profileSchema << "\",\n";
-    out << "    \"pmu_available\": "
-        << (snap.pmuAvailable ? "true" : "false") << ",\n";
-    out << "    \"phases\": " << snap.phases.size() << ",\n";
-    out << "    \"total_cycles\": " << total << ",\n";
-    out << "    \"top_self\": [\n";
-    for (std::size_t i = 0; i < top.size(); ++i) {
-        out << "      {\"path\": \"" << jsonEscape(top[i]->path)
-            << "\", \"self_cycles\": " << top[i]->selfCycles
-            << ", \"calls\": " << top[i]->calls << "}"
-            << (i + 1 < top.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n";
-    out << "  }";
     return out.str();
 }
 

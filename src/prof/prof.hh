@@ -23,15 +23,12 @@
  *
  * Gating follows the house pattern: a disabled site costs one
  * relaxed atomic load and a branch (and allocates nothing — thread
- * state is only created by enabled scopes), and defining
- * RAMP_PROF_DISABLED compiles the sites out entirely.
+ * state is only created by enabled scopes).
  *
  * Exports: profileJson() renders the self-describing
- * ramp-profile-v1 document, foldedStacks() the matching
- * `path;to;phase self_cycles` flamegraph lines, and
- * profileBlockJson() the conditional `profile` block embedded in
- * ramp-bench-v1 documents. The harness wires all three behind
- * --profile-out / RAMP_PROF_OUT.
+ * ramp-profile-v1 document and foldedStacks() the matching
+ * `path;to;phase self_cycles` flamegraph lines. The harness wires
+ * both behind --profile-out / RAMP_PROF_OUT.
  */
 
 #ifndef RAMP_PROF_PROF_HH
@@ -138,12 +135,6 @@ std::string profileJson(const std::string &tool, unsigned jobs);
  */
 std::string foldedStacks();
 
-/**
- * The `profile` block for ramp-bench-v1 documents (object value,
- * no trailing newline), or "" when nothing was profiled.
- */
-std::string profileBlockJson();
-
 /** Zero every registered tree's counters (tests). */
 void reset();
 
@@ -210,18 +201,9 @@ class ScopedPhase
  *
  *   RAMP_PROF_SCOPE(prof_scope, "cache.access");
  */
-#ifndef RAMP_PROF_DISABLED
 #define RAMP_PROF_SCOPE(var, name) \
     ::ramp::prof::ScopedPhase var((name), false)
 #define RAMP_PROF_SCOPE_PMU(var, name) \
     ::ramp::prof::ScopedPhase var((name), true)
-#else
-#define RAMP_PROF_SCOPE(var, name) \
-    do { \
-    } while (0)
-#define RAMP_PROF_SCOPE_PMU(var, name) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_PROF_PROF_HH

@@ -10,9 +10,8 @@
  *
  * tscHz() calibrates the counter against steady_clock once, on
  * first use, over a ~20 ms window; the result is cached for the
- * process lifetime and stamped into profiles and BENCH host blocks
- * so cycle counts stay attributable to the hardware that produced
- * them.
+ * process lifetime and stamped into profiles so cycle counts stay
+ * attributable to the hardware that produced them.
  */
 
 #ifndef RAMP_PROF_TSC_HH

@@ -109,22 +109,14 @@ Harness::Harness(std::string tool, RunnerOptions options)
       options_(std::move(options)),
       config_(SystemConfig::scaledDefault()),
       pool_(options_.jobs),
-      report_(tool_),
-      startTime_(std::chrono::steady_clock::now())
+      report_(tool_)
 {
     validateSystemConfig(config_);
     if (!options_.metricsPath.empty() ||
-        !options_.tracePath.empty() ||
-        !options_.benchPath.empty()) {
-        // The bench report derives its throughput quotes from the
-        // telemetry counters, so --bench-out switches telemetry on
-        // like the other exporters do.
+        !options_.tracePath.empty()) {
         telemetry::setEnabled(true);
         telemetry::captureLogEvents();
     }
-    if (!options_.benchPath.empty())
-        sampler_ = std::make_unique<perf::ResourceSampler>(
-            std::chrono::milliseconds(options_.sampleMs));
     if (!options_.eventsPath.empty()) {
         eventlog::setEnabled(true);
         if (const char *env = std::getenv("RAMP_EVENTS_LIMIT"))
@@ -345,52 +337,9 @@ Harness::record(const std::string &workload, const SimResult &result)
     return result;
 }
 
-void
-Harness::addMicrobenchResults(std::vector<perf::BenchResult> rows)
-{
-    microResults_.insert(microResults_.end(),
-                         std::make_move_iterator(rows.begin()),
-                         std::make_move_iterator(rows.end()));
-}
-
-std::string
-Harness::benchJson()
-{
-    perf::BenchReportSpec spec;
-    spec.tool = tool_;
-    spec.jobs = pool_.jobs();
-    spec.sampleMs = options_.sampleMs;
-    spec.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - startTime_)
-            .count();
-    if (sampler_ != nullptr)
-        spec.resources = sampler_->summary();
-    spec.metrics = telemetry::metrics().snapshot();
-    for (const PassRecord &pass : report_.passes()) {
-        ++spec.passes.count;
-        if (pass.status == PassStatus::Ok)
-            ++spec.passes.ok;
-        // Replayed checkpoint passes record 0 s; folding them in
-        // would fake an impossibly fast campaign.
-        if (pass.seconds > 0)
-            spec.passes.seconds.add(pass.seconds);
-    }
-    spec.eventRecords = eventlog::stats().recorded;
-    spec.microbenchmarks = microResults_;
-    if (prof::enabled())
-        spec.profileBlock = prof::profileBlockJson();
-    return perf::renderBenchReport(spec);
-}
-
 int
 Harness::finish()
 {
-    // Join the sampler before snapshotting, so the final RSS/CPU
-    // readings cover the whole campaign (idempotent: a cancelled
-    // campaign finishes once from the cancellation path).
-    if (sampler_ != nullptr)
-        sampler_->stop();
     const auto failures = report_.failures();
     if (!failures.empty()) {
         TextTable table({"workload", "label", "status", "error",
@@ -514,13 +463,6 @@ Harness::flushOutputs()
                          tool_.c_str(), folded.c_str());
             code = 1;
         }
-    }
-    if (!options_.benchPath.empty() &&
-        !atomicWriteFile(options_.benchPath, benchJson())) {
-        std::fprintf(stderr,
-                     "%s: cannot write bench report to %s\n",
-                     tool_.c_str(), options_.benchPath.c_str());
-        code = 1;
     }
     return code;
 }

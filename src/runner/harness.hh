@@ -3,12 +3,11 @@
  * The experiment harness every figure/table binary runs on.
  *
  * One Harness per binary: it parses the shared runner flags
- * (--jobs, --json, --metrics-out, --trace-out, --bench-out,
- * --cache-dir, --checkpoint, --pass-timeout), owns the thread pool,
- * the profile cache, the checkpoint journal, the watchdog, the
- * resource sampler, and the result sink,
- * and provides the operations the
- * paper's methodology repeats everywhere — profile a workload set
+ * (--jobs, --json, --metrics-out, --trace-out, --cache-dir,
+ * --checkpoint, --pass-timeout, ...), owns the thread pool, the
+ * profile cache, the checkpoint journal, the watchdog, and the
+ * result sink, and provides the operations the paper's
+ * methodology repeats everywhere — profile a workload set
  * (cached, parallel) and fan policy passes out over it (parallel,
  * deterministic, recorded, fault-contained).
  *
@@ -24,7 +23,6 @@
 #ifndef RAMP_RUNNER_HARNESS_HH
 #define RAMP_RUNNER_HARNESS_HH
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <functional>
@@ -32,9 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "perf/bench_report.hh"
-#include "perf/microbench.hh"
-#include "perf/resource.hh"
 #include "runner/checkpoint.hh"
 #include "runner/pool.hh"
 #include "runner/profile_cache.hh"
@@ -170,29 +165,11 @@ class Harness
                      const SimResult &result);
 
     /**
-     * Fold microbenchmark rows into the --bench-out document
-     * (perf_suite registers its kernel suite this way).
-     */
-    void addMicrobenchResults(std::vector<perf::BenchResult> rows);
-
-    /**
-     * The resource sampler started for --bench-out (nullptr
-     * otherwise); tests assert on its summary.
-     */
-    const perf::ResourceSampler *sampler() const
-    {
-        return sampler_.get();
-    }
-
-    /**
-     * Finish the run: write the JSON report, telemetry metrics
-     * snapshot (--metrics-out), Chrome trace (--trace-out), and
-     * BENCH performance report (--bench-out; the resource sampler
-     * is stopped and joined first) when requested (each atomic
-     * tmp+rename) and print a failure summary to stderr when any
-     * pass is not Ok. Exit code: 0 on full success, 1 when any
-     * output file cannot be written, 3 when any pass failed or
-     * timed out.
+     * Finish the run: write every requested output artifact (each
+     * atomic tmp+rename) and print a failure summary to stderr
+     * when any pass is not Ok. Exit code: 0 on full success, 1
+     * when any output file cannot be written, 3 when any pass
+     * failed or timed out.
      */
     int finish();
 
@@ -202,18 +179,16 @@ class Harness
                   const std::function<SimResult(std::size_t)> &fn);
 
     /**
-     * Write every requested output artifact (--events-out, --json,
-     * --metrics-out, --trace-out, --bench-out), each atomic
-     * tmp+rename. Returns 0, or 1 when any file cannot be written.
+     * Write every requested output artifact (--events-out,
+     * --timeline-out, --json, --metrics-out, --trace-out,
+     * --profile-out), each atomic tmp+rename. Returns 0, or 1 when
+     * any file cannot be written.
      * Idempotent: called early when a pass times out (so a campaign
      * an operator then kills still leaves artifacts behind, like
      * the SIGINT path) and again by finish(), which atomically
      * replaces the early flush with the complete campaign.
      */
     int flushOutputs();
-
-    /** Render the --bench-out document from the run's state. */
-    std::string benchJson();
 
     std::string tool_;
     RunnerOptions options_;
@@ -223,9 +198,6 @@ class Harness
     Report report_;
     std::unique_ptr<CheckpointJournal> journal_;
     std::unique_ptr<Watchdog> watchdog_;
-    std::unique_ptr<perf::ResourceSampler> sampler_;
-    std::vector<perf::BenchResult> microResults_;
-    std::chrono::steady_clock::time_point startTime_;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/rng.hh"
 #include "prof/prof.hh"
 #include "runner/error.hh"
 #include "telemetry/telemetry.hh"
@@ -40,7 +41,6 @@ runInstrumented(const std::function<void(std::size_t)> &task,
     // TSC-only: dispatch overhead is measured per task, and a PMU
     // read per task would swamp the thing being measured.
     RAMP_PROF_SCOPE(task_prof, "pool.task");
-#ifndef RAMP_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
         auto &tel = poolTelemetry();
         tel.tasks.add(1);
@@ -53,7 +53,6 @@ runInstrumented(const std::function<void(std::size_t)> &task,
                 .count());
         return;
     }
-#endif
     task(index);
 }
 
@@ -62,13 +61,10 @@ runInstrumented(const std::function<void(std::size_t)> &task,
 std::uint64_t
 taskSeed(std::uint64_t campaign_seed, std::uint64_t task_index)
 {
-    // SplitMix64 step (Steele et al.); the golden-gamma increment
-    // decorrelates adjacent task indices.
-    std::uint64_t z = campaign_seed + (task_index + 1) *
-                                          0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    // Task i mixes the state i + 1 gamma steps past the campaign
+    // seed, which decorrelates adjacent task indices.
+    std::uint64_t state = campaign_seed + task_index * splitMix64Gamma;
+    return splitMix64(state);
 }
 
 unsigned

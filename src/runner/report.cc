@@ -78,20 +78,6 @@ parseTimeout(const std::string &text)
     return parsed;
 }
 
-/** Sample period for --sample-ms; throws PassError(Usage). */
-unsigned
-parseSampleMs(const std::string &text)
-{
-    char *end = nullptr;
-    const long parsed = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || parsed < 10)
-        throw PassError(PassErrorCode::Usage,
-                        "--sample-ms needs an integer of at least "
-                        "10 milliseconds, got '" +
-                            text + "'");
-    return static_cast<unsigned>(parsed);
-}
-
 } // namespace
 
 RunnerOptions
@@ -104,8 +90,6 @@ RunnerOptions::parse(int argc, char **argv)
         options.metricsPath = env;
     if (const char *env = std::getenv("RAMP_TRACE_OUT"))
         options.tracePath = env;
-    if (const char *env = std::getenv("RAMP_BENCH_OUT"))
-        options.benchPath = env;
     if (const char *env = std::getenv("RAMP_EVENTS_OUT"))
         options.eventsPath = env;
     if (const char *env = std::getenv("RAMP_TIMELINE_OUT"))
@@ -114,8 +98,6 @@ RunnerOptions::parse(int argc, char **argv)
         options.profilePath = env;
     if (const char *env = std::getenv("RAMP_HEALTH_RULES"))
         options.healthRules = env;
-    if (const char *env = std::getenv("RAMP_SAMPLE_MS"))
-        options.sampleMs = parseSampleMs(env);
     if (const char *env = std::getenv("RAMP_CACHE_DIR"))
         options.cacheDir = env;
     if (const char *env = std::getenv("RAMP_CHECKPOINT"))
@@ -151,8 +133,6 @@ RunnerOptions::parse(int argc, char **argv)
             options.metricsPath = value("--metrics-out");
         } else if (arg == "--trace-out") {
             options.tracePath = value("--trace-out");
-        } else if (arg == "--bench-out") {
-            options.benchPath = value("--bench-out");
         } else if (arg == "--events-out") {
             options.eventsPath = value("--events-out");
         } else if (arg == "--timeline-out") {
@@ -161,9 +141,6 @@ RunnerOptions::parse(int argc, char **argv)
             options.profilePath = value("--profile-out");
         } else if (arg == "--health-rules") {
             options.healthRules = value("--health-rules");
-        } else if (arg == "--sample-ms") {
-            options.sampleMs =
-                parseSampleMs(value("--sample-ms"));
         } else if (arg == "--cache-dir") {
             options.cacheDir = value("--cache-dir");
         } else if (arg == "--checkpoint") {
@@ -189,8 +166,6 @@ RunnerOptions::flagsHelp()
            "snapshot (env RAMP_METRICS_OUT)\n"
            "  --trace-out PATH  write a Chrome trace-event file "
            "(env RAMP_TRACE_OUT)\n"
-           "  --bench-out PATH  write a BENCH_<tool>.json "
-           "performance report (env RAMP_BENCH_OUT)\n"
            "  --events-out PATH  write the decision ledger as "
            "JSONL (env RAMP_EVENTS_OUT)\n"
            "  --timeline-out PATH  write the epoch health timeline "
@@ -200,8 +175,6 @@ RunnerOptions::flagsHelp()
            "RAMP_PROF_OUT)\n"
            "  --health-rules R  SLO rules evaluated per epoch, e.g. "
            "alert:p99_slowdown>2,for=3 (env RAMP_HEALTH_RULES)\n"
-           "  --sample-ms N   resource-sampler period, >= 10 "
-           "(default 50; env RAMP_SAMPLE_MS)\n"
            "  --cache-dir D   persist profiling passes on disk "
            "(env RAMP_CACHE_DIR)\n"
            "  --checkpoint D  journal completed passes; resume a "

@@ -94,9 +94,6 @@ struct RunnerOptions
     /** Chrome trace-event target ("" = no trace file). */
     std::string tracePath;
 
-    /** BENCH_<tool>.json target ("" = no bench report). */
-    std::string benchPath;
-
     /** Decision-ledger JSONL target ("" = no events file). */
     std::string eventsPath;
 
@@ -109,9 +106,6 @@ struct RunnerOptions
     /** Cycle-profile target ("" = profiler off). The folded
      * flamegraph stacks land next to it at PATH.folded. */
     std::string profilePath;
-
-    /** Resource-sampler period in milliseconds (>= 10). */
-    unsigned sampleMs = 50;
 
     /** On-disk profile-cache directory ("" = memory-only). */
     std::string cacheDir;
@@ -127,13 +121,12 @@ struct RunnerOptions
 
     /**
      * Parse --jobs N, --json PATH, --metrics-out PATH, --trace-out
-     * PATH, --bench-out PATH, --events-out PATH, --timeline-out
-     * PATH, --health-rules RULES, --profile-out PATH, --sample-ms
-     * N, --cache-dir PATH, --checkpoint DIR, and --pass-timeout S
-     * from argv (with RAMP_JOBS / RAMP_JSON / RAMP_METRICS_OUT /
-     * RAMP_TRACE_OUT / RAMP_BENCH_OUT / RAMP_EVENTS_OUT /
-     * RAMP_TIMELINE_OUT / RAMP_HEALTH_RULES / RAMP_PROF_OUT /
-     * RAMP_SAMPLE_MS / RAMP_CACHE_DIR / RAMP_CHECKPOINT /
+     * PATH, --events-out PATH, --timeline-out PATH, --health-rules
+     * RULES, --profile-out PATH, --cache-dir PATH, --checkpoint
+     * DIR, and --pass-timeout S from argv (with RAMP_JOBS /
+     * RAMP_JSON / RAMP_METRICS_OUT / RAMP_TRACE_OUT /
+     * RAMP_EVENTS_OUT / RAMP_TIMELINE_OUT / RAMP_HEALTH_RULES /
+     * RAMP_PROF_OUT / RAMP_CACHE_DIR / RAMP_CHECKPOINT /
      * RAMP_PASS_TIMEOUT environment fallbacks); everything else
      * lands in positional.
      * Throws PassError(Usage) on a malformed flag — the binary

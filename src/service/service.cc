@@ -7,6 +7,7 @@
 #include <numeric>
 #include <string>
 
+#include "common/rng.hh"
 #include "eventlog/eventlog.hh"
 #include "health/health.hh"
 #include "prof/prof.hh"
@@ -48,29 +49,10 @@ serviceTelemetry()
     return telemetry;
 }
 
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-nextU64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 double
 next01(std::uint64_t &state)
 {
-    return static_cast<double>(nextU64(state) >> 11) * 0x1.0p-53;
+    return static_cast<double>(splitMix64(state) >> 11) * 0x1.0p-53;
 }
 
 /** One core's slice [len*e/E, len*(e+1)/E) of every trace. */
@@ -262,8 +244,8 @@ shardOf(std::uint32_t tenant_id, unsigned shards, std::uint64_t salt)
 {
     if (shards <= 1)
         return 0;
-    return static_cast<unsigned>(splitmix64(tenant_id ^ salt) %
-                                 shards);
+    std::uint64_t state = tenant_id ^ salt;
+    return static_cast<unsigned>(splitMix64(state) % shards);
 }
 
 PageId
@@ -293,8 +275,9 @@ buildTenantTrace(const TenantSpec &spec)
     // mass on low ranks (a cheap deterministic Zipf stand-in).
     const double k = 1.0 + 9.0 * skew;
     const PageId base = tenantBasePage(spec.id);
-    std::uint64_t state = splitmix64(
-        spec.seed ^ (static_cast<std::uint64_t>(spec.id) << 32));
+    std::uint64_t seed =
+        spec.seed ^ (static_cast<std::uint64_t>(spec.id) << 32);
+    std::uint64_t state = splitMix64(seed);
 
     for (std::uint64_t r = 0; r < spec.requests; ++r) {
         const double u = next01(state);
@@ -302,11 +285,11 @@ buildTenantTrace(const TenantSpec &spec)
             std::pow(u, k) * static_cast<double>(footprint));
         if (rank >= footprint)
             rank = footprint - 1;
-        const std::uint64_t line = nextU64(state) % linesPerPage;
+        const std::uint64_t line = splitMix64(state) % linesPerPage;
         const bool is_write = next01(state) < spec.writeFraction;
         MemRequest req;
         req.addr = (base + rank) * pageSize + line * lineSize;
-        req.gap = static_cast<std::uint32_t>(nextU64(state) % 8);
+        req.gap = static_cast<std::uint32_t>(splitMix64(state) % 8);
         req.core = static_cast<CoreId>(r % cores);
         req.isWrite = is_write;
         traces[r % cores].push_back(req);
@@ -762,7 +745,7 @@ PlacementService::run(runner::ThreadPool &pool)
 
     // Health timeline: one service-source sample per global epoch,
     // assembled from the same fold so it is jobs-invariant.
-    [[maybe_unused]] auto epoch_sample = [&](unsigned e) {
+    auto epoch_sample = [&](unsigned e) {
         health::TimelineSample sample;
         sample.source = "service";
         sample.epoch = e + 1;

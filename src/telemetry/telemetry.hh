@@ -4,10 +4,8 @@
  * macros, and log capture.
  *
  * Instrumentation sites use the macros below so that telemetry
- * which is compiled in but disabled at runtime costs exactly one
- * relaxed atomic load and branch. Defining RAMP_TELEMETRY_DISABLED
- * at compile time removes the sites entirely (the subsystem still
- * links, snapshots are just empty).
+ * disabled at runtime costs exactly one relaxed atomic load and
+ * branch.
  *
  * Everything is process-global and thread-safe: metrics() is the
  * shared registry (registry.hh), spans and instants land in
@@ -67,18 +65,12 @@ std::string jsonNumber(double value);
  *   static auto &hits = ramp::telemetry::metrics().counter("x.hits");
  *   RAMP_TELEM(hits.add(1));
  */
-#ifndef RAMP_TELEMETRY_DISABLED
 #define RAMP_TELEM(...) \
     do { \
         if (::ramp::telemetry::enabled()) { \
             __VA_ARGS__; \
         } \
     } while (0)
-#else
-#define RAMP_TELEM(...) \
-    do { \
-    } while (0)
-#endif
 
 #define RAMP_TELEM_CONCAT2(a, b) a##b
 #define RAMP_TELEM_CONCAT(a, b) RAMP_TELEM_CONCAT2(a, b)
@@ -89,13 +81,7 @@ std::string jsonNumber(double value);
  * be ignored or used to keep the span alive explicitly. Inert (one
  * branch) while telemetry is disabled.
  */
-#ifndef RAMP_TELEMETRY_DISABLED
 #define RAMP_TELEM_SPAN(var, ...) \
     ::ramp::telemetry::ScopedSpan var(__VA_ARGS__)
-#else
-#define RAMP_TELEM_SPAN(var, ...) \
-    do { \
-    } while (0)
-#endif
 
 #endif // RAMP_TELEMETRY_TELEMETRY_HH

@@ -77,13 +77,6 @@ traceArg(const std::string &key, const std::string &value)
            "\"}";
 }
 
-std::string
-traceArgNumber(const std::string &key, double value)
-{
-    return "{\"" + jsonEscape(key) + "\": " + jsonNumber(value) +
-           "}";
-}
-
 void
 emitEvent(TraceEvent event)
 {
@@ -107,21 +100,6 @@ instant(const std::string &name, const std::string &cat,
     event.phase = 'i';
     event.tsMicros = nowMicros();
     event.argsJson = args_json;
-    emitEvent(std::move(event));
-}
-
-void
-counterEvent(const std::string &name, const std::string &cat,
-             const std::string &series, double value)
-{
-    if (!enabled())
-        return;
-    TraceEvent event;
-    event.name = name;
-    event.cat = cat;
-    event.phase = 'C';
-    event.tsMicros = nowMicros();
-    event.argsJson = traceArgNumber(series, value);
     emitEvent(std::move(event));
 }
 

@@ -33,7 +33,7 @@ struct TraceEvent
     /** Category string shown in the viewer's filter UI. */
     std::string cat;
 
-    /** Chrome phase: 'B' begin, 'E' end, 'i' instant, 'C' counter. */
+    /** Chrome phase: 'B' begin, 'E' end, 'i' instant. */
     char phase = 'i';
 
     /** Microseconds since the process's telemetry epoch. */
@@ -56,23 +56,12 @@ std::int64_t nowMicros();
 std::string traceArg(const std::string &key,
                      const std::string &value);
 
-/** Render one {"key": number} args object (null when non-finite). */
-std::string traceArgNumber(const std::string &key, double value);
-
 /** Append an event to the calling thread's buffer (when enabled). */
 void emitEvent(TraceEvent event);
 
 /** Emit an instant event (thread scope) when enabled. */
 void instant(const std::string &name, const std::string &cat,
              const std::string &args_json = "");
-
-/**
- * Emit a Chrome counter event ('C' phase) when enabled: the viewer
- * plots the named series as a value-over-time track. The resource
- * sampler emits one per sample (RSS over time).
- */
-void counterEvent(const std::string &name, const std::string &cat,
-                  const std::string &series, double value);
 
 /**
  * RAII span: emits a B event at construction and the matching E at

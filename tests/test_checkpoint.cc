@@ -422,16 +422,12 @@ TEST(Harness, TimeoutFlushesOutputsEarly)
 {
     const std::string json =
         ::testing::TempDir() + "ramp_timeout_flush.json";
-    const std::string bench =
-        ::testing::TempDir() + "BENCH_timeout_flush.json";
     std::remove(json.c_str());
-    std::remove(bench.c_str());
 
     RunnerOptions options;
     options.jobs = 1;
     options.passTimeout = 1e-9; // everything overstays
     options.jsonPath = json;
-    options.benchPath = bench;
     Harness harness("timeout_flush_tool", options);
     const auto wl =
         harness.profile(homogeneousWorkload("astar"), smallTraces());
@@ -446,9 +442,8 @@ TEST(Harness, TimeoutFlushesOutputsEarly)
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, PassStatus::Timeout);
 
-    // The artifacts already exist, before finish() ever runs.
+    // The report already exists, before finish() ever runs.
     ASSERT_TRUE(fs::exists(json));
-    ASSERT_TRUE(fs::exists(bench));
     const std::string early = slurp(json);
     EXPECT_NE(early.find("\"status\": \"timeout\""),
               std::string::npos);
@@ -459,10 +454,8 @@ TEST(Harness, TimeoutFlushesOutputsEarly)
     // The report content is deterministic, so the final atomic
     // rewrite reproduces the early flush exactly.
     EXPECT_EQ(slurp(json), early);
-    EXPECT_TRUE(fs::exists(bench));
 
     std::remove(json.c_str());
-    std::remove(bench.c_str());
 }
 
 } // namespace

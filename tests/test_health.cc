@@ -285,9 +285,6 @@ serviceTimeline(unsigned jobs)
 
 TEST_F(HealthTest, ServiceTimelineInvariantUnderJobs)
 {
-#ifdef RAMP_HEALTH_DISABLED
-    GTEST_SKIP() << "epoch capture hooks compiled out";
-#endif
     const std::string serial = serviceTimeline(1);
     const std::string wide = serviceTimeline(4);
     EXPECT_GT(health::sampleCount(), 0u);
@@ -302,9 +299,6 @@ TEST_F(HealthTest, ServiceTimelineInvariantUnderJobs)
 
 TEST_F(HealthTest, StormAlertsAgreeAcrossLedgerAndTelemetry)
 {
-#ifdef RAMP_HEALTH_DISABLED
-    GTEST_SKIP() << "epoch capture hooks compiled out";
-#endif
     health::setRules(health::defaultRules());
     const auto before = telemetry::metrics().snapshot();
 

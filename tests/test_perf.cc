@@ -1,17 +1,13 @@
 /**
  * @file
  * Tests for the performance-observability layer (src/perf): the
- * resource sampler, the steady-state microbenchmark framework, the
- * JSON reader, the BENCH_<tool>.json emitter, and the regression
- * comparator — plus the Harness integration that flushes a BENCH
- * document even when the campaign is cancelled or runs under the
- * pass watchdog.
+ * steady-state microbenchmark framework and the JSON reader — plus
+ * the Harness integration that flushes the requested artifacts even
+ * when the campaign is cancelled.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "hma/experiment.hh"
-#include "perf/bench_report.hh"
 #include "perf/json.hh"
 #include "perf/microbench.hh"
-#include "perf/resource.hh"
 #include "runner/harness.hh"
 #include "telemetry/telemetry.hh"
 
@@ -32,8 +26,6 @@ namespace
 {
 
 using perf::BenchOptions;
-using perf::BenchReportSpec;
-using perf::DiffOptions;
 using perf::JsonValue;
 using perf::Microbench;
 using runner::Harness;
@@ -42,7 +34,7 @@ using runner::PassError;
 using runner::PassErrorCode;
 using runner::RunnerOptions;
 
-/** The perf layer switches telemetry on; leave no global residue. */
+/** --metrics-out switches telemetry on; leave no global residue. */
 class PerfTest : public ::testing::Test
 {
   protected:
@@ -58,45 +50,6 @@ class PerfTest : public ::testing::Test
         telemetry::resetAll();
     }
 };
-
-TEST(ResourceUsage, ReadsLiveAndPeakRss)
-{
-    const auto usage = perf::readResourceUsage();
-    // A running gtest binary is resident well past a megabyte.
-    EXPECT_GT(usage.rssBytes, 1u << 20);
-    EXPECT_GE(usage.peakRssBytes, usage.rssBytes);
-    EXPECT_GE(usage.userCpuSeconds + usage.sysCpuSeconds, 0.0);
-}
-
-TEST_F(PerfTest, SamplerObservesAndJoinsCleanly)
-{
-    perf::ResourceSampler sampler(std::chrono::milliseconds(5));
-    // Touch some memory so the series has something to see.
-    std::vector<char> ballast(8u << 20, 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    sampler.stop();
-    sampler.stop(); // idempotent: the second join is a no-op
-
-    const auto summary = sampler.summary();
-    EXPECT_GE(summary.samples, 2u);
-    EXPECT_GT(summary.peakRssBytes, 1u << 20);
-    EXPECT_GT(summary.rssSeries.mean(), 0.0);
-    EXPECT_GE(summary.peakRssBytes,
-              static_cast<std::uint64_t>(summary.rssSeries.max()));
-
-    // The sampler published its gauges through telemetry.
-    const auto snap = telemetry::metrics().snapshot();
-    EXPECT_GT(snap.gauges.at("proc.rss_bytes"), 0.0);
-    EXPECT_GT(snap.gauges.at("proc.peak_rss_bytes"), 0.0);
-    (void)ballast;
-}
-
-TEST(ResourceSampler, StopInsideFirstPeriodStillSamples)
-{
-    perf::ResourceSampler sampler(std::chrono::minutes(10));
-    sampler.stop(); // must not wait out the period
-    EXPECT_GE(sampler.summary().samples, 1u);
-}
 
 TEST(Microbench, MeasuresStatsAndThroughput)
 {
@@ -238,185 +191,6 @@ TEST(Json, RejectsMalformedAndTrailingGarbage)
     EXPECT_FALSE(perf::parseJson("{\"a\": 1", doc, error));
 }
 
-/** A report spec with deterministic, nontrivial content. */
-BenchReportSpec
-sampleSpec()
-{
-    BenchReportSpec spec;
-    spec.tool = "unit_tool";
-    spec.jobs = 2;
-    spec.wallSeconds = 2.0;
-    spec.resources.samples = 3;
-    spec.resources.peakRssBytes = 64u << 20;
-    spec.resources.rssSeries.add(50e6);
-    spec.resources.rssSeries.add(60e6);
-    spec.resources.userCpuSeconds = 1.5;
-    spec.resources.sysCpuSeconds = 0.25;
-    spec.metrics.counters["hma.accesses.hbm"] = 600;
-    spec.metrics.counters["hma.accesses.ddr"] = 400;
-    spec.metrics.counters["faultsim.trials"] = 2000;
-    spec.metrics.counters["pool.tasks"] = 8;
-    auto hist = telemetry::FixedHistogram::linear(0.0, 1.0, 10);
-    for (int i = 0; i < 100; ++i)
-        hist.add(i / 100.0);
-    spec.metrics.histograms.emplace("pool.task_seconds", hist);
-    spec.passes.count = 4;
-    spec.passes.ok = 4;
-    spec.passes.seconds.add(0.5);
-    spec.passes.seconds.add(0.7);
-    perf::BenchResult micro;
-    micro.name = "kernel";
-    micro.unit = "items";
-    micro.itemsPerIteration = 100;
-    micro.iterations = 10;
-    micro.meanSeconds = 0.01;
-    micro.minSeconds = 0.008;
-    micro.maxSeconds = 0.012;
-    micro.itemsPerSecond = 100 / 0.008;
-    spec.microbenchmarks.push_back(micro);
-    return spec;
-}
-
-TEST(BenchReport, RendersParseableDocument)
-{
-    const std::string json = perf::renderBenchReport(sampleSpec());
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(perf::parseJson(json, doc, error)) << error;
-
-    EXPECT_EQ(doc.stringOr("schema", ""), perf::benchSchema);
-    EXPECT_EQ(doc.stringOr("tool", ""), "unit_tool");
-    EXPECT_DOUBLE_EQ(doc.numberOr("wall_seconds", 0), 2.0);
-    const JsonValue *throughput = doc.find("throughput");
-    ASSERT_NE(throughput, nullptr);
-    // 1000 accesses over 2 s.
-    EXPECT_DOUBLE_EQ(
-        throughput->numberOr("accesses_per_second", 0), 500.0);
-    EXPECT_DOUBLE_EQ(throughput->numberOr("trials_per_second", 0),
-                     1000.0);
-    const JsonValue *resources = doc.find("resources");
-    ASSERT_NE(resources, nullptr);
-    EXPECT_DOUBLE_EQ(resources->numberOr("peak_rss_bytes", 0),
-                     static_cast<double>(64u << 20));
-    const JsonValue *host = doc.find("host");
-    ASSERT_NE(host, nullptr);
-    EXPECT_GE(host->numberOr("cpus", -1), 0.0);
-    const JsonValue *percentiles = doc.find("percentiles");
-    ASSERT_NE(percentiles, nullptr);
-    const JsonValue *task_hist =
-        percentiles->find("pool.task_seconds");
-    ASSERT_NE(task_hist, nullptr);
-    EXPECT_NEAR(task_hist->numberOr("p50", 0), 0.5, 0.02);
-    EXPECT_NEAR(task_hist->numberOr("p95", 0), 0.95, 0.02);
-    const JsonValue *micros = doc.find("microbenchmarks");
-    ASSERT_NE(micros, nullptr);
-    ASSERT_EQ(micros->array.size(), 1u);
-    EXPECT_EQ(micros->array[0].stringOr("name", ""), "kernel");
-}
-
-TEST(BenchReport, UnmeasuredThroughputRendersAsNull)
-{
-    BenchReportSpec spec;
-    spec.tool = "idle_tool";
-    spec.wallSeconds = 1.0; // no counters at all
-    const std::string json = perf::renderBenchReport(spec);
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(perf::parseJson(json, doc, error)) << error;
-    const JsonValue *throughput = doc.find("throughput");
-    ASSERT_NE(throughput, nullptr);
-    const JsonValue *accesses =
-        throughput->find("accesses_per_second");
-    ASSERT_NE(accesses, nullptr);
-    EXPECT_TRUE(accesses->isNull());
-}
-
-TEST(BenchDiff, IdenticalDocumentsHaveNoRegressions)
-{
-    const std::string json = perf::renderBenchReport(sampleSpec());
-    JsonValue a, b;
-    std::string error;
-    ASSERT_TRUE(perf::parseJson(json, a, error)) << error;
-    ASSERT_TRUE(perf::parseJson(json, b, error)) << error;
-    const auto diffs =
-        perf::compareBenchReports(a, b, DiffOptions{}, error);
-    EXPECT_TRUE(error.empty()) << error;
-    EXPECT_FALSE(diffs.empty());
-    for (const auto &diff : diffs) {
-        EXPECT_FALSE(diff.regressed) << diff.name;
-        EXPECT_DOUBLE_EQ(diff.deltaPct, 0.0) << diff.name;
-    }
-}
-
-TEST(BenchDiff, FlagsRegressionsDirectionally)
-{
-    auto base_spec = sampleSpec();
-    auto slow_spec = sampleSpec();
-    // Wall time doubles (lower-is-better: regression at +100%) and
-    // microbenchmark throughput halves (higher-is-better).
-    slow_spec.wallSeconds = 4.0;
-    slow_spec.microbenchmarks[0].minSeconds = 0.02;
-    slow_spec.microbenchmarks[0].itemsPerSecond = 100 / 0.02;
-
-    JsonValue base, cand;
-    std::string error;
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(base_spec),
-                                base, error));
-    ASSERT_TRUE(perf::parseJson(perf::renderBenchReport(slow_spec),
-                                cand, error));
-    const auto diffs =
-        perf::compareBenchReports(base, cand, DiffOptions{}, error);
-    EXPECT_TRUE(error.empty()) << error;
-
-    bool wall_regressed = false, micro_regressed = false;
-    bool throughput_regressed = false;
-    for (const auto &diff : diffs) {
-        if (diff.name == "wall_seconds")
-            wall_regressed = diff.regressed;
-        if (diff.name == "micro.kernel.min_seconds")
-            micro_regressed = diff.regressed;
-        // Counters unchanged over a doubled wall time: derived
-        // throughput halves, beyond the 40% threshold.
-        if (diff.name == "throughput.accesses_per_second")
-            throughput_regressed = diff.regressed;
-    }
-    EXPECT_TRUE(wall_regressed);
-    EXPECT_TRUE(micro_regressed);
-    EXPECT_TRUE(throughput_regressed);
-
-    // A generous relax multiplier absorbs the same deltas.
-    DiffOptions relax_options;
-    relax_options.relax = 10.0;
-    const auto relaxed = perf::compareBenchReports(
-        base, cand, relax_options, error);
-    for (const auto &diff : relaxed)
-        EXPECT_FALSE(diff.regressed) << diff.name;
-}
-
-TEST(BenchDiff, MismatchedToolsRefuseToCompare)
-{
-    auto a_spec = sampleSpec();
-    auto b_spec = sampleSpec();
-    b_spec.tool = "other_tool";
-    JsonValue a, b;
-    std::string error;
-    ASSERT_TRUE(
-        perf::parseJson(perf::renderBenchReport(a_spec), a, error));
-    ASSERT_TRUE(
-        perf::parseJson(perf::renderBenchReport(b_spec), b, error));
-    const auto diffs =
-        perf::compareBenchReports(a, b, DiffOptions{}, error);
-    EXPECT_TRUE(diffs.empty());
-    EXPECT_NE(error.find("tool mismatch"), std::string::npos);
-
-    // Non-BENCH documents are rejected the same way.
-    JsonValue junk;
-    ASSERT_TRUE(perf::parseJson("{\"x\": 1}", junk, error));
-    error.clear();
-    perf::compareBenchReports(junk, a, DiffOptions{}, error);
-    EXPECT_NE(error.find("schema"), std::string::npos);
-}
-
 GeneratorOptions
 smallTraces()
 {
@@ -425,68 +199,18 @@ smallTraces()
     return options;
 }
 
-TEST_F(PerfTest, HarnessWritesBenchDocumentUnderWatchdog)
-{
-    RunnerOptions options;
-    options.jobs = 2;
-    options.passTimeout = 60.0; // watchdog armed, never fires
-    options.benchPath = ::testing::TempDir() + "BENCH_unit.json";
-    std::remove(options.benchPath.c_str());
-
-    {
-        Harness harness("bench_tool", options);
-        ASSERT_NE(harness.sampler(), nullptr);
-        const auto wl = harness.profile(homogeneousWorkload("astar"),
-                                        smallTraces());
-        const SystemConfig &config = harness.config();
-        const std::vector<PassDesc> descs = {
-            {wl->name(), Harness::passKey(wl, "perf")}};
-        harness.runPasses(descs, [&](std::size_t) {
-            return runStaticPolicy(config, wl->data,
-                                   StaticPolicy::PerfFocused,
-                                   wl->profile());
-        });
-        perf::Microbench suite;
-        suite.add("noop", "items", [] { return std::uint64_t{1}; });
-        perf::BenchOptions micro;
-        micro.iterations = 2;
-        micro.maxWarmupIterations = 1;
-        harness.addMicrobenchResults(suite.run(micro));
-        EXPECT_EQ(harness.finish(), 0);
-        // finish() joined the sampler; its summary is final.
-        EXPECT_GE(harness.sampler()->summary().samples, 1u);
-    }
-
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(perf::parseJsonFile(options.benchPath, doc, error))
-        << error;
-    EXPECT_EQ(doc.stringOr("schema", ""), perf::benchSchema);
-    EXPECT_EQ(doc.stringOr("tool", ""), "bench_tool");
-    EXPECT_GT(doc.numberOr("wall_seconds", 0), 0.0);
-    const JsonValue *passes = doc.find("passes");
-    ASSERT_NE(passes, nullptr);
-    EXPECT_DOUBLE_EQ(passes->numberOr("count", 0), 2.0);
-    const JsonValue *resources = doc.find("resources");
-    ASSERT_NE(resources, nullptr);
-    EXPECT_GT(resources->numberOr("peak_rss_bytes", 0), 0.0);
-    const JsonValue *micros = doc.find("microbenchmarks");
-    ASSERT_NE(micros, nullptr);
-    ASSERT_EQ(micros->array.size(), 1u);
-    EXPECT_EQ(micros->array[0].stringOr("name", ""), "noop");
-    std::remove(options.benchPath.c_str());
-}
-
-TEST_F(PerfTest, CancelledCampaignStillFlushesBenchDocument)
+TEST_F(PerfTest, CancelledCampaignStillFlushesOutputs)
 {
     runner::clearCancellation();
     RunnerOptions options;
     options.jobs = 1;
-    options.benchPath =
-        ::testing::TempDir() + "BENCH_cancelled.json";
-    std::remove(options.benchPath.c_str());
+    options.jsonPath = ::testing::TempDir() + "ramp_cancelled.json";
+    options.metricsPath =
+        ::testing::TempDir() + "ramp_cancelled_metrics.json";
+    std::remove(options.jsonPath.c_str());
+    std::remove(options.metricsPath.c_str());
 
-    Harness harness("cancel_bench_tool", options);
+    Harness harness("cancel_tool", options);
     const auto wl =
         harness.profile(homogeneousWorkload("astar"), smallTraces());
     const SystemConfig &config = harness.config();
@@ -511,16 +235,29 @@ TEST_F(PerfTest, CancelledCampaignStillFlushesBenchDocument)
     }
     runner::clearCancellation();
 
-    // The cancellation path ran finish(): the sampler thread is
-    // joined and the BENCH document was written atomically.
-    ASSERT_NE(harness.sampler(), nullptr);
-    EXPECT_GE(harness.sampler()->summary().samples, 1u);
-    JsonValue doc;
+    // The cancellation path ran finish(): both requested artifacts
+    // were written (atomically) and parse, and each lists the
+    // baseline plus the three cancelled passes.
     std::string error;
-    ASSERT_TRUE(perf::parseJsonFile(options.benchPath, doc, error))
+    JsonValue report;
+    ASSERT_TRUE(perf::parseJsonFile(options.jsonPath, report, error))
         << error;
-    EXPECT_EQ(doc.stringOr("tool", ""), "cancel_bench_tool");
-    std::remove(options.benchPath.c_str());
+    EXPECT_EQ(report.stringOr("tool", ""), "cancel_tool");
+    JsonValue metrics;
+    ASSERT_TRUE(
+        perf::parseJsonFile(options.metricsPath, metrics, error))
+        << error;
+    EXPECT_EQ(metrics.stringOr("tool", ""), "cancel_tool");
+    for (const JsonValue *doc : {&report, &metrics}) {
+        const JsonValue *passes = doc->find("passes");
+        ASSERT_NE(passes, nullptr);
+        ASSERT_EQ(passes->array.size(), 4u);
+        for (std::size_t i = 1; i < passes->array.size(); ++i)
+            EXPECT_EQ(passes->array[i].stringOr("status", ""),
+                      "skipped");
+    }
+    std::remove(options.jsonPath.c_str());
+    std::remove(options.metricsPath.c_str());
 }
 
 } // namespace

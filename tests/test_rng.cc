@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit and property tests for the deterministic RNG and the Zipf
- * sampler (src/common/rng).
+ * sampler (src/common/rng), plus pinned outputs of every SplitMix64
+ * consumer (Rng seeding, runner::taskSeed, the service's tenant
+ * routing and streams).
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +12,8 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "runner/pool.hh"
+#include "service/service.hh"
 
 namespace ramp
 {
@@ -31,6 +35,60 @@ TEST(Rng, DifferentSeedsDiverge)
         if (a.next() == b.next())
             ++equal;
     EXPECT_LT(equal, 2);
+}
+
+/**
+ * Every SplitMix64 consumer pinned to recorded outputs: task seeds,
+ * Rng streams, tenant routing and tenant traces must stay bit-exact,
+ * or every downstream result moves.
+ */
+TEST(SplitMix64, ConsumersArePinned)
+{
+    // The published SplitMix64 reference: first output from state 0.
+    std::uint64_t state = 0;
+    EXPECT_EQ(splitMix64(state), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(state, splitMix64Gamma);
+
+    EXPECT_EQ(runner::taskSeed(0, 0), 0xe220a8397b1dcdafULL);
+    const std::uint64_t seeds[] = {
+        13679457532755275413ULL, 2949826092126892291ULL,
+        5139283748462763858ULL, 6349198060258255764ULL};
+    for (std::uint64_t i = 0; i < 4; ++i)
+        EXPECT_EQ(runner::taskSeed(42, i), seeds[i]) << i;
+
+    Rng rng(1);
+    const std::uint64_t draws[] = {
+        12966619160104079557ULL, 9600361134598540522ULL,
+        10590380919521690900ULL, 7218738570589545383ULL};
+    for (const std::uint64_t draw : draws)
+        EXPECT_EQ(rng.next(), draw);
+
+    const service::ServiceConfig config;
+    const unsigned shards4[] = {0, 1, 2, 3, 1, 0, 1, 1};
+    const unsigned shards7[] = {2, 2, 2, 4, 3, 6, 2, 3};
+    for (std::uint32_t t = 0; t < 8; ++t) {
+        EXPECT_EQ(service::shardOf(t, 4, config.routingSalt),
+                  shards4[t])
+            << t;
+        EXPECT_EQ(service::shardOf(t, 7, 1), shards7[t]) << t;
+    }
+
+    service::TenantSpec spec;
+    spec.id = 3;
+    spec.requests = 4;
+    spec.footprintPages = 1000;
+    const auto traces = service::buildTenantTrace(spec);
+    const std::uint64_t addrs[] = {206158467840ULL, 206158432576ULL,
+                                   206158431872ULL, 206158440512ULL};
+    const std::uint32_t gaps[] = {1, 5, 3, 4};
+    const bool writes[] = {false, true, true, true};
+    ASSERT_EQ(traces.size(), 4u);
+    for (std::size_t core = 0; core < 4; ++core) {
+        ASSERT_EQ(traces[core].size(), 1u) << core;
+        EXPECT_EQ(traces[core][0].addr, addrs[core]) << core;
+        EXPECT_EQ(traces[core][0].gap, gaps[core]) << core;
+        EXPECT_EQ(traces[core][0].isWrite, writes[core]) << core;
+    }
 }
 
 TEST(Rng, NextRangeStaysInBounds)

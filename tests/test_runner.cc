@@ -362,14 +362,13 @@ TEST(RunnerOptions, ParsesFlagsAndPositionals)
 TEST(RunnerOptions, ParsesCheckpointAndTimeoutFlags)
 {
     const char *argv[] = {"tool", "--checkpoint", "ckptdir",
-                          "--pass-timeout", "2.5", "--bench-out",
-                          "BENCH_tool.json"};
+                          "--pass-timeout", "2.5"};
     const auto options = RunnerOptions::parse(
         static_cast<int>(std::size(argv)),
         const_cast<char **>(argv));
     EXPECT_EQ(options.checkpointDir, "ckptdir");
     EXPECT_DOUBLE_EQ(options.passTimeout, 2.5);
-    EXPECT_EQ(options.benchPath, "BENCH_tool.json");
+    EXPECT_TRUE(options.positional.empty());
 }
 
 TEST(DerivedRatios, HitRateAndAccessShareSemantics)

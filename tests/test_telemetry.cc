@@ -392,26 +392,6 @@ TEST(JsonNumber, NonFiniteValuesRenderAsNull)
               "null");
 }
 
-TEST_F(TelemetryTest, CounterEventsAppearAsCounterPhase)
-{
-    counterEvent("proc.rss", "resource", "mb", 123.5);
-    bool saw = false;
-    for (const auto &event : collectEvents()) {
-        if (event.phase != 'C' || event.name != "proc.rss")
-            continue;
-        saw = true;
-        EXPECT_EQ(event.cat, "resource");
-        EXPECT_NE(event.argsJson.find("\"mb\""),
-                  std::string::npos);
-        EXPECT_NE(event.argsJson.find("123.5"), std::string::npos);
-    }
-    EXPECT_TRUE(saw);
-
-    const std::string json = traceJson();
-    EXPECT_TRUE(jsonBalanced(json)) << json;
-    EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
-}
-
 TEST(TelemetryRegistryDeath, HistogramRelayoutPanics)
 {
     metrics().histogram("test.relayout",

@@ -121,8 +121,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Two positionals without --diff also mean a diff, matching
-    // bench_diff's calling convention.
+    // Two positionals without --diff also mean a diff.
     if (paths.size() == 2)
         diff_mode = true;
     if ((diff_mode && paths.size() != 2) ||

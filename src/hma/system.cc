@@ -122,7 +122,8 @@ struct HmaSystem::RunPages
      * Stamp every request with its page's slot: slots are handed
      * out in trace order by an open-addressing PageId -> slot table
      * (multiplicative hash; tenant ids `t << 24` are too sparse to
-     * index directly). Residency starts from the placement.
+     * index directly). The cached tier and the residency start from
+     * the placement; frames are allocated at first touch.
      */
     RunPages(const std::vector<CoreTrace> &traces,
              const PlacementMap &placement)
@@ -138,11 +139,11 @@ struct HmaSystem::RunPages
         slots.resize(pages.size());
         hbmCycles.assign(pages.size(), 0);
         hbmSince.resize(pages.size());
-        for (std::size_t slot = 0; slot < pages.size(); ++slot)
-            hbmSince[slot] =
-                placement.memoryOf(pages[slot]) == MemoryId::HBM
-                    ? 0
-                    : outOfHbm;
+        for (std::size_t slot = 0; slot < pages.size(); ++slot) {
+            const MemoryId mem = placement.memoryOf(pages[slot]);
+            slots[slot].tier = static_cast<std::uint8_t>(mem);
+            hbmSince[slot] = mem == MemoryId::HBM ? 0 : outOfHbm;
+        }
         touchOrder.reserve(pages.size());
     }
 
@@ -861,8 +862,13 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         const std::uint32_t slot =
             run.requestSlots[core_idx][core.position()];
         RunPages::Slot &state = run.slots[slot];
-        if (state.lines == nullptr)
+        if (state.lines == nullptr) {
             run.firstTouch(slot);
+            // The tier was cached at construction unless a move
+            // since then marked it stale; the frame is allocated now.
+            if (state.tier != staleTier)
+                state.frameBase = placement.deviceAddr(pageBase(page));
+        }
         if (state.tier == staleTier) {
             state.tier =
                 static_cast<std::uint8_t>(placement.memoryOf(page));

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "eventlog/eventlog.hh"
 #include "health/health.hh"
@@ -315,6 +316,60 @@ profileTenantTrace(const std::vector<CoreTrace> &traces)
     return profile;
 }
 
+namespace
+{
+
+/**
+ * Which of one tenant's pages a placement map holds in HBM: one byte
+ * per footprint page, indexed by `page - tenantBasePage(id)`, plus
+ * the resident count. Only the service moves a tenant page between
+ * tiers (its runInPlace calls have no engine and no injector), so
+ * updating the view at each of its move sites keeps it exact, and
+ * the epoch loop never rescans the map for state it changed itself.
+ * Debug builds check every byte read against the map.
+ */
+class Residency
+{
+  public:
+    Residency() = default;
+
+    explicit Residency(const TenantSpec &spec)
+        : base_(tenantBasePage(spec.id)), hbm_(spec.footprintPages, 0)
+    {
+    }
+
+    bool inHbm([[maybe_unused]] const PlacementMap &map,
+               PageId page) const
+    {
+        const bool hbm = hbm_[page - base_] != 0;
+#ifndef NDEBUG
+        if (hbm != (map.memoryOf(page) == MemoryId::HBM))
+            ramp_panic("stale residency view of page ", page);
+#endif
+        return hbm;
+    }
+
+    /** Record that the page now lives in `mem`. */
+    void set(PageId page, MemoryId mem)
+    {
+        std::uint8_t &byte = hbm_[page - base_];
+        const std::uint8_t hbm = mem == MemoryId::HBM ? 1 : 0;
+        resident_ += hbm;
+        resident_ -= byte;
+        byte = hbm;
+    }
+
+    /** The tenant's HBM-resident page count. */
+    std::uint64_t resident() const { return resident_; }
+
+  private:
+    PageId base_ = 0;
+    std::vector<std::uint8_t> hbm_;
+    std::uint64_t resident_ = 0;
+};
+
+} // namespace
+
 /** Per-tenant state; touched only by the home shard's task. */
 struct PlacementService::Tenant
 {
@@ -325,6 +380,9 @@ struct PlacementService::Tenant
     PageProfile profile;
     std::vector<std::pair<PageId, PageStats>> ranking;
     double meanAvf = 0;
+
+    /** The tenant's residency in its home shard's map. */
+    Residency hbm;
 
     /** Demand of the next arbitration round (previous working set). */
     std::uint64_t demand = 0;
@@ -430,8 +488,9 @@ emitMoveRecord(eventlog::EventKind kind, PageId page,
  * promotions (hottest first), each capped by its budget.
  */
 std::uint64_t
-rebalanceTenant(PlacementMap &map, Tenant &tenant,
-                std::uint64_t grant, std::uint64_t promote_budget,
+rebalanceTenant(PlacementMap &map, Residency &hbm,
+                const Tenant &tenant, std::uint64_t grant,
+                std::uint64_t promote_budget,
                 std::uint64_t demote_budget, unsigned epoch)
 {
     const std::size_t target = std::min<std::size_t>(
@@ -442,10 +501,10 @@ rebalanceTenant(PlacementMap &map, Tenant &tenant,
     for (std::size_t i = tenant.ranking.size();
          i-- > target && demotes < demote_budget;) {
         const PageId page = tenant.ranking[i].first;
-        if (map.memoryOf(page) != MemoryId::HBM ||
-            map.isPinned(page))
+        if (!hbm.inHbm(map, page) || map.isPinned(page))
             continue;
         if (map.moveRange(page, 1, MemoryId::DDR) == 1) {
+            hbm.set(page, MemoryId::DDR);
             ++demotes;
             ++moved;
             emitMoveRecord(eventlog::EventKind::Evict, page,
@@ -457,12 +516,12 @@ rebalanceTenant(PlacementMap &map, Tenant &tenant,
     for (std::size_t i = 0;
          i < target && promotes < promote_budget; ++i) {
         const PageId page = tenant.ranking[i].first;
-        if (map.memoryOf(page) == MemoryId::HBM ||
-            map.isRetired(page))
+        if (hbm.inHbm(map, page) || map.isRetired(page))
             continue;
         if (map.hbmFreePages() == 0)
             break;
         if (map.moveRange(page, 1, MemoryId::HBM) == 1) {
+            hbm.set(page, MemoryId::HBM);
             ++promotes;
             ++moved;
             emitMoveRecord(eventlog::EventKind::Promote, page,
@@ -474,8 +533,8 @@ rebalanceTenant(PlacementMap &map, Tenant &tenant,
 
 /** Initial placement: the grant prefix of the ranking goes to HBM. */
 void
-placeTenantInitial(PlacementMap &map, Tenant &tenant,
-                   std::uint64_t grant)
+placeTenantInitial(PlacementMap &map, Residency &hbm,
+                   const Tenant &tenant, std::uint64_t grant)
 {
     const std::size_t target = std::min<std::size_t>(
         grant, tenant.ranking.size());
@@ -484,6 +543,7 @@ placeTenantInitial(PlacementMap &map, Tenant &tenant,
             break;
         const auto &[page, stats] = tenant.ranking[i];
         map.place(page, MemoryId::HBM);
+        hbm.set(page, MemoryId::HBM);
         RAMP_EVLOG({
             eventlog::EventRecord record;
             record.kind = eventlog::EventKind::Place;
@@ -498,7 +558,8 @@ placeTenantInitial(PlacementMap &map, Tenant &tenant,
     }
 }
 
-/** The tenant's currently HBM-resident page count. */
+#ifndef NDEBUG
+/** The tenant's HBM-resident page count, rescanned from the map. */
 std::uint64_t
 residentHbmPages(const PlacementMap &map, const Tenant &tenant)
 {
@@ -508,6 +569,7 @@ residentHbmPages(const PlacementMap &map, const Tenant &tenant)
             ++resident;
     return resident;
 }
+#endif
 
 double
 jainIndex(const std::vector<double> &xs)
@@ -863,28 +925,34 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
           case FaultEventKind::Uncorrected: {
             const std::uint64_t strikes =
                 std::max<std::uint64_t>(1, event.count);
+            // Strike live frames: the plan's page indexes the
+            // shard's current (sorted) HBM population, so a plan
+            // written without knowledge of the routing still lands
+            // on resident pages. The population is built once per
+            // event and each victim that leaves HBM leaves it too.
+            std::vector<PageId> population = shard.map.hbmPages();
+            std::sort(population.begin(), population.end());
             for (std::uint64_t c = 0; c < strikes; ++c) {
-                // Strike a live frame: the plan's page indexes the
-                // shard's current (sorted) HBM population, so a plan
-                // written without knowledge of the routing still
-                // lands on resident pages.
-                auto population = shard.map.hbmPages();
                 if (population.empty())
                     break;
-                std::sort(population.begin(), population.end());
-                const PageId victim =
-                    population[(event.page + c) %
-                               population.size()];
+                const auto pick =
+                    population.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        (event.page + c) % population.size());
+                const PageId victim = *pick;
                 const std::uint32_t owner = tenantOfPage(victim);
                 eventlog::TenantScope tenant_scope(owner);
                 const RetireOutcome outcome =
                     shard.map.retirePage(victim);
                 if (!outcome.retired)
                     continue;
+                if (outcome.to != MemoryId::HBM)
+                    population.erase(pick);
                 ++shard.retired;
                 for (const std::size_t idx : shard.tenantIdx) {
                     if (tenants_[idx].spec.id == owner) {
                         ++tenants_[idx].retired;
+                        tenants_[idx].hbm.set(victim, outcome.to);
                         break;
                     }
                 }
@@ -940,12 +1008,12 @@ PlacementService::applyShardFaults(Shard &shard, unsigned shard_index,
                      i-- > 0 &&
                      shard.map.overfullHbmPages() > 0;) {
                     const PageId page = tenant.ranking[i].first;
-                    if (shard.map.memoryOf(page) !=
-                            MemoryId::HBM ||
+                    if (!tenant.hbm.inHbm(shard.map, page) ||
                         shard.map.isPinned(page))
                         continue;
                     if (shard.map.moveRange(page, 1,
                                             MemoryId::DDR) == 1) {
+                        tenant.hbm.set(page, MemoryId::DDR);
                         ++tenant.moved;
                         emitMoveRecord(eventlog::EventKind::Evict,
                                        page,
@@ -978,6 +1046,7 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
             [](const PageStats &stats) { return stats.hotness(); });
         tenant.meanAvf = tenant.profile.meanAvf();
         tenant.demand = hotSetPages(tenant);
+        tenant.hbm = Residency(tenant.spec);
     }
 
     for (unsigned epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -1027,19 +1096,23 @@ PlacementService::runShard(Shard &shard, unsigned shard_index)
                     std::to_string(epoch));
                 std::uint64_t moved = 0;
                 if (epoch == 0) {
-                    placeTenantInitial(shard.map, tenant,
+                    placeTenantInitial(shard.map, tenant.hbm, tenant,
                                        tenant.grant);
                 } else {
                     moved = rebalanceTenant(
-                        shard.map, tenant, tenant.grant,
+                        shard.map, tenant.hbm, tenant, tenant.grant,
                         config_.promoteBudgetPages,
                         config_.demoteBudgetPages, epoch);
                 }
                 tenant.moved += moved;
                 RAMP_TELEM(serviceTelemetry().moves.add(moved));
 
-                const std::uint64_t resident =
-                    residentHbmPages(shard.map, tenant);
+                const std::uint64_t resident = tenant.hbm.resident();
+#ifndef NDEBUG
+                if (resident != residentHbmPages(shard.map, tenant))
+                    ramp_panic("stale resident count of tenant ",
+                               tenant.spec.id);
+#endif
                 const double share =
                     tenant.ranking.empty()
                         ? 0.0
@@ -1125,6 +1198,7 @@ PlacementService::runSolo(Tenant &tenant)
     RAMP_TELEM(serviceTelemetry().solos.add(1));
     eventlog::TenantScope tenant_scope(tenant.spec.id);
     PlacementMap map(shardCapacity());
+    Residency hbm(tenant.spec);
     std::uint64_t demand = hotSetPages(tenant);
     for (unsigned epoch = 0; epoch < config_.epochs; ++epoch) {
         eventlog::RunScope scope("svc-solo/" + tenant.spec.name +
@@ -1132,9 +1206,9 @@ PlacementService::runSolo(Tenant &tenant)
         const std::uint64_t grant =
             std::min(demand, map.hbmCapacityPages());
         if (epoch == 0)
-            placeTenantInitial(map, tenant, grant);
+            placeTenantInitial(map, hbm, tenant, grant);
         else
-            rebalanceTenant(map, tenant, grant,
+            rebalanceTenant(map, hbm, tenant, grant,
                             config_.promoteBudgetPages,
                             config_.demoteBudgetPages, epoch);
         const std::vector<CoreTrace> slice =

@@ -8,13 +8,22 @@
  * the fair-share quota), the fair-share vs reliability-weighted
  * ordering on a hand-built two-tenant contention scenario, and
  * bit-exactness of a single-tenant single-shard service run against
- * the same workload driven through a bare HmaSystem.
+ * the same workload driven through a bare HmaSystem. Fault storms are
+ * checked against a ledger replay of the struck shard's HBM set, and
+ * a golden digest pins every result field and per-epoch history of a
+ * storm run with solo baselines.
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <set>
+#include <sstream>
+#include <string>
 
+#include "eventlog/eventlog.hh"
+#include "health/health.hh"
 #include "runner/pool.hh"
 #include "service/service.hh"
 
@@ -294,20 +303,42 @@ TEST(ServiceEquivalence, SingleTenantMatchesBareSystem)
                   1, expected.profile.footprintPages()));
 }
 
+/** Turn the ledger on for one test and leave it off and empty. */
+struct LedgerOn
+{
+    LedgerOn()
+    {
+        eventlog::reset();
+        eventlog::setEnabled(true);
+    }
+    ~LedgerOn()
+    {
+        eventlog::setEnabled(false);
+        eventlog::reset();
+    }
+};
+
 TEST(ServiceFaults, StormDegradesOnlyTheStruckShard)
 {
     const SystemConfig system = smallConfig();
     service::ServiceConfig config;
     config.shards = 2;
     config.epochs = 3;
+    config.hbmPagesPerShard = 48; // full enough that the loss sweeps
+    // Two strike events in one epoch whose index ranges overlap, a
+    // capacity loss (and its sweep) between strikes, and a third
+    // event an epoch later.
+    const std::string plan =
+        "uncorrected:page=3,count=5,epoch=2;"
+        "capacity:tier=hbm,pct=25,epoch=2;"
+        "uncorrected:page=5,count=6,epoch=2;"
+        "uncorrected:page=40,count=4,epoch=3";
     std::string error;
-    config.faultPlan = parseFaultPlan(
-        "uncorrected:page=3,epoch=2;capacity:tier=hbm,pct=25,"
-        "epoch=2",
-        error);
+    config.faultPlan = parseFaultPlan(plan, error);
     ASSERT_TRUE(error.empty()) << error;
     config.faultShard = 0;
 
+    const LedgerOn ledger;
     const service::ServiceResult result =
         runService(system, config, 8, 2);
 
@@ -322,6 +353,207 @@ TEST(ServiceFaults, StormDegradesOnlyTheStruckShard)
     // routing: exactly the tenants homed on shard 0.
     for (const service::TenantResult &tenant : result.tenants)
         EXPECT_EQ(tenant.degraded, tenant.shard == 0u);
+
+    // Every strike retires a live HBM page, and a retired page never
+    // returns to HBM, so each strike counts exactly once.
+    struct Strike
+    {
+        std::uint64_t epoch;
+        PageId page;
+        std::uint64_t c;
+    };
+    std::vector<Strike> strikes;
+    for (const FaultEvent &event : config.faultPlan)
+        if (event.kind == FaultEventKind::Uncorrected)
+            for (std::uint64_t c = 0; c < event.count; ++c)
+                strikes.push_back({event.epoch, event.page, c});
+    std::stable_sort(strikes.begin(), strikes.end(),
+                     [](const Strike &a, const Strike &b) {
+                         return a.epoch < b.epoch;
+                     });
+    EXPECT_EQ(result.shards[0].pagesRetired, strikes.size());
+    std::uint64_t tenant_retired = 0;
+    for (const service::TenantResult &tenant : result.tenants)
+        tenant_retired += tenant.pagesRetired;
+    EXPECT_EQ(tenant_retired, strikes.size());
+
+    // Replay the struck shard's HBM set from its ledger (one shard is
+    // one task, so its records keep program order) and check every
+    // victim against the strike rule: the (page + c)-th entry, modulo
+    // size, of the sorted live population.
+    std::set<std::uint32_t> struck_tenants;
+    for (const service::TenantResult &tenant : result.tenants)
+        if (tenant.shard == 0)
+            struck_tenants.insert(tenant.id);
+    std::set<PageId> hbm;
+    std::set<PageId> retired;
+    std::size_t next_strike = 0;
+    for (const eventlog::EventRecord &record : eventlog::collect()) {
+        if (eventlog::runLabel(record.run).rfind("svc/", 0) != 0 ||
+            struck_tenants.count(record.tenant) == 0)
+            continue;
+        switch (record.kind) {
+          case eventlog::EventKind::Place:
+          case eventlog::EventKind::Promote:
+            EXPECT_EQ(retired.count(record.page), 0u)
+                << "retired page " << record.page << " re-entered HBM";
+            EXPECT_TRUE(hbm.insert(record.page).second);
+            break;
+          case eventlog::EventKind::Evict:
+            EXPECT_EQ(hbm.erase(record.page), 1u);
+            break;
+          case eventlog::EventKind::Retire: {
+            ASSERT_LT(next_strike, strikes.size());
+            const Strike &strike = strikes[next_strike++];
+            EXPECT_EQ(record.epoch, strike.epoch);
+            ASSERT_FALSE(hbm.empty());
+            const PageId expected = *std::next(
+                hbm.begin(), static_cast<std::ptrdiff_t>(
+                                 (strike.page + strike.c) % hbm.size()));
+            EXPECT_EQ(record.page, expected);
+            EXPECT_EQ(record.src, eventlog::Tier::Hbm);
+            EXPECT_EQ(record.dst, eventlog::Tier::Ddr);
+            EXPECT_TRUE(retired.insert(record.page).second)
+                << "page " << record.page << " retired twice";
+            hbm.erase(record.page);
+            break;
+          }
+          default:
+            break;
+        }
+    }
+    EXPECT_EQ(next_strike, strikes.size());
+}
+
+/** FNV-1a over the bit patterns of the folded values. */
+class Digest
+{
+  public:
+    void add(std::uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (value >> (8 * i)) & 0xffu;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+
+    void add(const std::string &value)
+    {
+        add(static_cast<std::uint64_t>(value.size()));
+        for (const char c : value)
+            add(static_cast<std::uint64_t>(
+                static_cast<unsigned char>(c)));
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * Every result bit of a storm run with solo baselines: each
+ * TenantResult and ShardResult field, the run totals, and the health
+ * timeline's per-epoch samples, which carry each tenant's resident,
+ * grant, share and makespan-vs-solo history and each shard's
+ * capacity, occupancy and retirement history.
+ */
+std::uint64_t
+stormDigest(unsigned jobs)
+{
+    const SystemConfig system = smallConfig();
+    service::ServiceConfig config;
+    config.shards = 2;
+    config.epochs = 5;
+    config.arbiter = service::ArbiterPolicy::ReliabilityWeighted;
+    config.hbmPagesPerShard = 96; // the loss leaves it overfull
+    config.promoteBudgetPages = 24;
+    config.demoteBudgetPages = 24;
+    config.soloBaselines = true;
+    std::string error;
+    config.faultPlan = parseFaultPlan(
+        "uncorrected:page=3,count=8,epoch=2;"
+        "capacity:tier=hbm,pct=25,epoch=3;"
+        "uncorrected:page=77,count=8,epoch=4",
+        error);
+    EXPECT_TRUE(error.empty()) << error;
+
+    health::reset();
+    health::setRules({});
+    health::setEnabled(true);
+    const service::ServiceResult result =
+        runService(system, config, 8, jobs);
+    const std::string timeline = health::timelineJsonl("test");
+    health::setEnabled(false);
+    health::reset();
+
+    Digest digest;
+    for (const service::TenantResult &t : result.tenants) {
+        digest.add(t.name);
+        digest.add(std::uint64_t{t.id});
+        digest.add(std::uint64_t{t.shard});
+        digest.add(t.requests);
+        digest.add(t.instructions);
+        digest.add(t.makespan);
+        digest.add(t.soloMakespan);
+        digest.add(t.slowdown);
+        digest.add(t.ipc);
+        digest.add(t.meanHbmShare);
+        digest.add(t.meanHbmPages);
+        digest.add(t.grantedPages);
+        digest.add(t.demandPages);
+        digest.add(t.quotaClips);
+        digest.add(t.movedPages);
+        digest.add(t.pagesRetired);
+        digest.add(t.ser);
+        digest.add(t.meanAvf);
+        digest.add(std::uint64_t{t.degraded});
+    }
+    for (const service::ShardResult &s : result.shards) {
+        digest.add(std::uint64_t{s.shard});
+        digest.add(s.tenants);
+        digest.add(s.hbmCapacityPages);
+        digest.add(s.hbmUsedPages);
+        digest.add(s.faultsApplied);
+        digest.add(s.capacityLostPages);
+        digest.add(s.pagesRetired);
+        digest.add(std::uint64_t{s.degraded});
+    }
+    digest.add(result.arbitrationRounds);
+    digest.add(result.quotaClips);
+    digest.add(result.rebalanceMoves);
+    digest.add(result.totalRequests);
+    digest.add(result.totalInstructions);
+    digest.add(result.fairnessIndex);
+    digest.add(result.p99Slowdown);
+    for (const double x : result.fairnessByEpoch)
+        digest.add(x);
+    for (const double x : result.p99ByEpoch)
+        digest.add(x);
+    std::istringstream lines(timeline);
+    std::uint64_t samples = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("{\"type\": \"sample\"", 0) != 0)
+            continue;
+        digest.add(line);
+        ++samples;
+    }
+    EXPECT_EQ(samples, config.epochs);
+    return digest.value();
+}
+
+TEST(ServiceGolden, StormWithSoloBaselines)
+{
+    // Recorded on the service that rescanned the shard map for every
+    // strike and residency count; the residency view must reproduce
+    // it bit for bit at any --jobs.
+    constexpr std::uint64_t expected = 0xce1b1b3cacc1f82eull;
+    for (const unsigned jobs : {1u, 4u})
+        EXPECT_EQ(stormDigest(jobs), expected)
+            << std::hex << "jobs " << jobs << ": 0x"
+            << stormDigest(jobs);
 }
 
 } // namespace

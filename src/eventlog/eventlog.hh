@@ -4,9 +4,9 @@
  *
  * Every placement and migration decision (and every attributed
  * fault landing) can be recorded as a compact EventRecord
- * (record.hh). Instrumentation sites are gated exactly like the
- * telemetry macros: recording disabled at runtime costs one relaxed
- * atomic load and branch per site.
+ * (record.hh). Instrumentation sites are gated on the ledger bit of
+ * the enable word (common/enable.hh): recording disabled at runtime
+ * costs one relaxed atomic load and branch per site.
  *
  * Records land in per-thread ring buffers (one short uncontended
  * lock per record on the owning thread). A full ring drains into
@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enable.hh"
 #include "eventlog/record.hh"
 
 namespace ramp::eventlog
@@ -48,10 +49,18 @@ namespace ramp::eventlog
 inline constexpr std::size_t ringCapacity = 4096;
 
 /** True when instrumentation sites should record (default off). */
-bool enabled();
+inline bool
+enabled()
+{
+    return enable::any(enable::ledger);
+}
 
 /** Toggle recording at runtime (the harness flips this on). */
-void setEnabled(bool on);
+inline void
+setEnabled(bool on)
+{
+    enable::set(enable::ledger, on);
+}
 
 /** Ledger volume counters. */
 struct LogStats
@@ -92,7 +101,7 @@ void setCapacity(std::uint64_t max_records);
  * "<config>/shard<index>") — analyzers order runs by label, which
  * keeps timelines independent of pool scheduling. Scopes nest; the
  * innermost wins. Inert (and free) when recording is disabled at
- * construction, mirroring telemetry's ScopedSpan.
+ * construction, like the profiler's scopes.
  */
 class RunScope
 {

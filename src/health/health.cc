@@ -1,7 +1,6 @@
 #include "health/health.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/json.hh"
 #include "eventlog/eventlog.hh"
 #include "telemetry/telemetry.hh"
 
@@ -18,8 +18,6 @@ namespace ramp::health
 namespace
 {
 
-std::atomic<bool> healthEnabled{false};
-
 /** Everything behind one lock; record() is epoch-rate, not hot. */
 struct Store
 {
@@ -27,7 +25,6 @@ struct Store
     std::vector<TimelineSample> samples;
     std::vector<HealthAlert> alerts;
     std::vector<HealthRule> rules;
-    std::vector<AlertCallback> callbacks;
 
     /** Next seq per (source '\n' run). */
     std::map<std::string, std::uint64_t> nextSeq;
@@ -123,9 +120,6 @@ fireLocked(Store &s, const HealthRule &rule, std::uint32_t rule_index,
                                          : rule.threshold);
         eventlog::emit(record);
     });
-
-    for (const AlertCallback &callback : s.callbacks)
-        callback(alert);
 }
 
 /**
@@ -234,8 +228,6 @@ evaluateLocked(Store &s, const TimelineSample &sample)
 std::string
 sampleJson(const TimelineSample &sample)
 {
-    using telemetry::jsonEscape;
-    using telemetry::jsonNumber;
     std::ostringstream out;
     out << "{\"type\": \"sample\", \"source\": \""
         << jsonEscape(sample.source) << "\", \"run\": \""
@@ -283,12 +275,6 @@ sampleJson(const TimelineSample &sample)
 
 } // namespace
 
-bool
-enabled()
-{
-    return healthEnabled.load(std::memory_order_relaxed);
-}
-
 void
 setEnabled(bool on)
 {
@@ -297,7 +283,7 @@ setEnabled(bool on)
         std::lock_guard<std::mutex> lock(s.mutex);
         s.baseline = telemetry::metrics().snapshot().counters;
     }
-    healthEnabled.store(on, std::memory_order_relaxed);
+    enable::set(enable::timeline, on);
 }
 
 void
@@ -328,14 +314,6 @@ defaultRules()
         "warn:fairness<0.9,for=2",
         error);
     return rules;
-}
-
-void
-addAlertCallback(AlertCallback callback)
-{
-    Store &s = store();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.callbacks.push_back(std::move(callback));
 }
 
 void
@@ -376,8 +354,6 @@ alerts()
 std::string
 alertJson(const HealthAlert &alert)
 {
-    using telemetry::jsonEscape;
-    using telemetry::jsonNumber;
     std::ostringstream out;
     out << "{\"type\": \"alert\", \"severity\": \""
         << severityName(alert.severity)
@@ -413,7 +389,6 @@ timelineJsonl(const std::string &tool)
         });
     const auto sorted_alerts = alerts();
 
-    using telemetry::jsonEscape;
     std::ostringstream out;
     out << "{\"schema\": \"" << timelineSchema << "\", \"tool\": \""
         << jsonEscape(tool) << "\", \"samples\": " << samples.size()
@@ -457,7 +432,6 @@ reset()
     s.samples.clear();
     s.alerts.clear();
     s.rules.clear();
-    s.callbacks.clear();
     s.nextSeq.clear();
     s.streaks.clear();
     s.baseline.clear();

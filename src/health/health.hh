@@ -25,14 +25,14 @@
  * schedule-independent), minus the scheduling-dependent `pool.`
  * family.
  *
- * Alerts fan out four ways, all deterministic: an `alert` record in
- * the decision ledger (run/seq-stamped like every other record),
- * `health.*` telemetry counters, the alert lines of the timeline
- * document, and any registered callbacks (the hook the service
- * layer can use for admission control).
+ * Alerts fan out three ways, all deterministic: an `alert` record
+ * in the decision ledger (run/seq-stamped like every other record),
+ * `health.*` telemetry counters, and the alert lines of the
+ * timeline document.
  *
- * Gating mirrors telemetry/eventlog exactly: disabled instrumented
- * sites cost one relaxed atomic load and branch (RAMP_HEALTH).
+ * Gating is the timeline bit of the enable word (common/enable.hh):
+ * disabled instrumented sites cost one relaxed atomic load and
+ * branch (RAMP_HEALTH).
  *
  * Run labels come from the calling thread's eventlog::RunScope, so
  * the harness enables the ledger whenever the timeline is on;
@@ -43,11 +43,11 @@
 #define RAMP_HEALTH_HEALTH_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/enable.hh"
 #include "health/rules.hh"
 
 namespace ramp::health
@@ -61,7 +61,11 @@ inline constexpr double unmeasured =
     std::numeric_limits<double>::quiet_NaN();
 
 /** True when instrumentation sites should record (default off). */
-bool enabled();
+inline bool
+enabled()
+{
+    return enable::any(enable::timeline);
+}
 
 /**
  * Toggle recording at runtime. Turning it on snapshots the metrics
@@ -172,8 +176,6 @@ struct HealthAlert
     double threshold = unmeasured;
 };
 
-using AlertCallback = std::function<void(const HealthAlert &)>;
-
 /**
  * Install the monitor's rule set (replaces any previous set; resets
  * hysteresis streaks). The empty set disables the monitor but not
@@ -191,13 +193,6 @@ std::vector<HealthRule> rules();
  *     alert:shard_degraded;alert:p99_slowdown>2,for=3;warn:fairness<0.9,for=2
  */
 std::vector<HealthRule> defaultRules();
-
-/**
- * Register an alert hook, called synchronously from record() under
- * the subsystem lock (keep it cheap; it runs on the simulating
- * thread). Callbacks persist until reset().
- */
-void addAlertCallback(AlertCallback callback);
 
 /**
  * Record one epoch-boundary sample: stamps the calling thread's run
@@ -224,7 +219,7 @@ std::string alertJson(const HealthAlert &alert);
  */
 std::string timelineJsonl(const std::string &tool);
 
-/** Drop samples, alerts, rules, callbacks, and streaks (tests). */
+/** Drop samples, alerts, rules, and streaks (tests). */
 void reset();
 
 } // namespace ramp::health

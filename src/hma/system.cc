@@ -688,12 +688,8 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
     if (static_cast<int>(traces.size()) > config_.cores)
         ramp_fatal("more traces than configured cores");
 
-    RAMP_TELEM_SPAN(run_span, "hma.run", "sim",
-                    telemetry::traceArg(
-                        "engine",
-                        engine != nullptr ? engine->name()
-                                          : "static"));
-    RAMP_PROF_SCOPE_PMU(run_prof, "hma.run");
+    RAMP_PROF_SCOPE_PMU(run_prof, "hma.run", "engine",
+                        engine != nullptr ? engine->name() : "static");
 
     SimResult result;
     RunPages run(traces, placement);
@@ -907,9 +903,6 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
             ++result.reads;
         if (mem == MemoryId::HBM)
             ++result.hbmAccessFraction; // normalised below
-        RAMP_TELEM(mem == MemoryId::HBM
-                       ? systemTelemetry().hbmAccesses.add(1)
-                       : systemTelemetry().ddrAccesses.add(1));
 
         if (core.retire(req.isWrite ? issue_t : completion)) {
             pq.push({core.nextIssueTime(), core_idx});
@@ -946,6 +939,8 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
                       : static_cast<double>(result.requests) *
                             1000.0 /
                             static_cast<double>(result.instructions);
+    const auto hbm_requests =
+        static_cast<std::uint64_t>(result.hbmAccessFraction);
     result.hbmAccessFraction =
         result.requests == 0
             ? 0.0
@@ -1002,6 +997,8 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         auto &tel = systemTelemetry();
         tel.runs.add(1);
         tel.instructions.add(result.instructions);
+        tel.hbmAccesses.add(hbm_requests);
+        tel.ddrAccesses.add(result.requests - hbm_requests);
     });
     return result;
 }

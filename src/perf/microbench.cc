@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "prof/prof.hh"
-#include "telemetry/telemetry.hh"
 
 namespace ramp::perf
 {
@@ -71,8 +70,6 @@ Microbench::run(const BenchOptions &options,
                 only.end())
             continue;
 
-        RAMP_TELEM_SPAN(case_span, "microbench", "perf",
-                        telemetry::traceArg("case", c.name));
         // Every fn() invocation (warmup and timed) runs under a
         // PMU-sampled "kernel.<case>" phase, so profiles attribute
         // cycles, IPC, and LLC misses per hot kernel.

@@ -1,6 +1,6 @@
 #include "prof/prof.hh"
 
-#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -8,16 +8,15 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hh"
+#include "common/logging.hh"
 #include "prof/tsc.hh"
-#include "telemetry/telemetry.hh"
 
 namespace ramp::prof
 {
 
 namespace detail
 {
-
-std::atomic<bool> profEnabled{false};
 
 /** One phase in a thread's call tree; owned by its parent. */
 struct PhaseNode
@@ -36,15 +35,33 @@ struct PhaseNode
     std::uint64_t pmuBranchMisses = 0;
 };
 
+/** One Chrome trace event ('B', 'E' or 'i'). */
+struct TraceEvent
+{
+    const char *name;
+    char phase;
+
+    /** Microseconds since the trace epoch. */
+    std::int64_t tsMicros;
+
+    /** Rendered {"key": "value"} object, or "" for none. */
+    std::string args;
+};
+
 /**
- * One thread's tree and cursor. The owner mutates under the mutex;
- * snapshot() and reset() read/zero from other threads under it.
+ * One thread's tree, cursor and trace events. The owner mutates
+ * under the mutex; snapshot(), traceJson() and reset() read or
+ * clear them from other threads under it.
  */
 struct ThreadProf
 {
     std::mutex mutex;
     PhaseNode root;
     PhaseNode *current = &root;
+    std::vector<TraceEvent> events;
+
+    /** Small stable id, in registration order (the trace's tid). */
+    std::uint32_t tid = 0;
 };
 
 } // namespace detail
@@ -56,6 +73,7 @@ struct Collector
 {
     std::mutex mutex;
     std::vector<std::shared_ptr<detail::ThreadProf>> states;
+    std::uint32_t nextTid = 1;
 };
 
 Collector &
@@ -76,10 +94,48 @@ threadState()
         auto fresh = std::make_shared<detail::ThreadProf>();
         Collector &c = collector();
         std::lock_guard<std::mutex> lock(c.mutex);
+        fresh->tid = c.nextTid++;
         c.states.push_back(fresh);
         return fresh;
     }();
     return *state;
+}
+
+/** Every registered thread state, copied out of the collector. */
+std::vector<std::shared_ptr<detail::ThreadProf>>
+registeredStates()
+{
+    Collector &c = collector();
+    std::lock_guard<std::mutex> lock(c.mutex);
+    return c.states;
+}
+
+/** Microseconds since the first trace event (steady clock). */
+std::int64_t
+nowMicros()
+{
+    using Clock = std::chrono::steady_clock;
+    static const Clock::time_point start = Clock::now();
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               Clock::now() - start)
+        .count();
+}
+
+/** The {"key": "value"} args object of one event ("" for none). */
+std::string
+renderArg(const char *key, std::string_view value)
+{
+    if (key == nullptr)
+        return {};
+    return "{\"" + jsonEscape(key) + "\": \"" + jsonEscape(value) +
+           "\"}";
+}
+
+/** Trace category: the name up to its first '.'. */
+std::string_view
+category(std::string_view name)
+{
+    return name.substr(0, name.find('.'));
 }
 
 std::uint64_t
@@ -176,12 +232,6 @@ zeroTree(detail::PhaseNode &node)
 
 } // namespace
 
-void
-setEnabled(bool on)
-{
-    detail::profEnabled.store(on, std::memory_order_relaxed);
-}
-
 const char *
 internName(std::string_view name)
 {
@@ -194,32 +244,45 @@ internName(std::string_view name)
 }
 
 void
-ScopedPhase::begin(const char *name, bool with_pmu)
+ScopedPhase::begin(const char *name, bool with_pmu, unsigned mode,
+                   const char *arg_key, std::string_view arg_value)
 {
-    active_ = true;
+    mode_ = mode;
     pmuActive_ = false;
+    name_ = name;
     state_ = &threadState();
+    const bool profile = (mode & enable::profile) != 0;
+    std::string args;
+    if ((mode & enable::trace) != 0)
+        args = renderArg(arg_key, arg_value);
     {
         std::lock_guard<std::mutex> lock(state_->mutex);
-        detail::PhaseNode *parent = state_->current;
-        detail::PhaseNode *child = nullptr;
-        for (const auto &candidate : parent->children) {
-            if (candidate->name == name ||
-                std::strcmp(candidate->name, name) == 0) {
-                child = candidate.get();
-                break;
+        if ((mode & enable::trace) != 0)
+            state_->events.push_back(
+                {name, 'B', nowMicros(), std::move(args)});
+        if (profile) {
+            detail::PhaseNode *parent = state_->current;
+            detail::PhaseNode *child = nullptr;
+            for (const auto &candidate : parent->children) {
+                if (candidate->name == name ||
+                    std::strcmp(candidate->name, name) == 0) {
+                    child = candidate.get();
+                    break;
+                }
             }
+            if (child == nullptr) {
+                parent->children.push_back(
+                    std::make_unique<detail::PhaseNode>());
+                child = parent->children.back().get();
+                child->name = name;
+                child->parent = parent;
+            }
+            state_->current = child;
+            node_ = child;
         }
-        if (child == nullptr) {
-            parent->children.push_back(
-                std::make_unique<detail::PhaseNode>());
-            child = parent->children.back().get();
-            child->name = name;
-            child->parent = parent;
-        }
-        state_->current = child;
-        node_ = child;
     }
+    if (!profile)
+        return;
     if (with_pmu) {
         const PmuSample start = pmuRead();
         pmuActive_ = start.valid;
@@ -235,39 +298,92 @@ ScopedPhase::begin(const char *name, bool with_pmu)
 void
 ScopedPhase::end()
 {
-    const std::uint64_t stop = readCycles();
+    const bool profile = (mode_ & enable::profile) != 0;
+    const std::uint64_t stop = profile ? readCycles() : 0;
     PmuSample pmu_stop;
     if (pmuActive_)
         pmu_stop = pmuRead();
 
     std::lock_guard<std::mutex> lock(state_->mutex);
-    node_->calls += 1;
-    node_->totalCycles += saturatingDelta(startCycles_, stop);
-    if (pmuActive_ && pmu_stop.valid) {
-        node_->pmuCalls += 1;
-        node_->pmuCycles +=
-            saturatingDelta(pmuStartCycles_, pmu_stop.cycles);
-        node_->pmuInstructions += saturatingDelta(
-            pmuStartInstructions_, pmu_stop.instructions);
-        node_->pmuLlcMisses += saturatingDelta(
-            pmuStartLlcMisses_, pmu_stop.llcMisses);
-        node_->pmuBranchMisses += saturatingDelta(
-            pmuStartBranchMisses_, pmu_stop.branchMisses);
+    if (profile) {
+        node_->calls += 1;
+        node_->totalCycles += saturatingDelta(startCycles_, stop);
+        if (pmuActive_ && pmu_stop.valid) {
+            node_->pmuCalls += 1;
+            node_->pmuCycles +=
+                saturatingDelta(pmuStartCycles_, pmu_stop.cycles);
+            node_->pmuInstructions += saturatingDelta(
+                pmuStartInstructions_, pmu_stop.instructions);
+            node_->pmuLlcMisses += saturatingDelta(
+                pmuStartLlcMisses_, pmu_stop.llcMisses);
+            node_->pmuBranchMisses += saturatingDelta(
+                pmuStartBranchMisses_, pmu_stop.branchMisses);
+        }
+        state_->current = node_->parent;
     }
-    state_->current = node_->parent;
+    if ((mode_ & enable::trace) != 0)
+        state_->events.push_back({name_, 'E', nowMicros(), {}});
+}
+
+void
+instant(const char *name, const char *arg_key,
+        std::string_view arg_value)
+{
+    if (!tracing())
+        return;
+    std::string args = renderArg(arg_key, arg_value);
+    detail::ThreadProf &state = threadState();
+    std::lock_guard<std::mutex> lock(state.mutex);
+    state.events.push_back({name, 'i', nowMicros(), std::move(args)});
+}
+
+void
+captureLogEvents()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        setLogSink([](LogLevel level, const std::string &msg) {
+            defaultLogSink(level, msg);
+            instant(level == LogLevel::Warn ? "log.warn"
+                                            : "log.inform",
+                    "message", msg);
+        });
+    });
+}
+
+std::string
+traceJson()
+{
+    std::ostringstream out;
+    out << "{\"traceEvents\": [\n";
+    const char *separator = "";
+    for (const auto &state : registeredStates()) {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        for (const detail::TraceEvent &event : state->events) {
+            out << separator << "  {\"name\": \""
+                << jsonEscape(event.name) << "\", \"cat\": \""
+                << jsonEscape(category(event.name))
+                << "\", \"ph\": \"" << event.phase
+                << "\", \"ts\": " << event.tsMicros
+                << ", \"pid\": 1, \"tid\": " << state->tid;
+            if (event.phase == 'i')
+                out << ", \"s\": \"t\"";
+            if (!event.args.empty())
+                out << ", \"args\": " << event.args;
+            out << "}";
+            separator = ",\n";
+        }
+    }
+    out << (*separator != '\0' ? "\n" : "")
+        << "], \"displayTimeUnit\": \"ms\"}\n";
+    return out.str();
 }
 
 ProfileSnapshot
 snapshot()
 {
-    std::vector<std::shared_ptr<detail::ThreadProf>> states;
-    {
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        states = c.states;
-    }
     MergeNode merged;
-    for (const auto &state : states) {
+    for (const auto &state : registeredStates()) {
         std::lock_guard<std::mutex> lock(state->mutex);
         for (const auto &child : state->root.children)
             mergeInto(merged.children[child->name], *child);
@@ -281,9 +397,6 @@ snapshot()
 std::string
 profileJson(const std::string &tool, unsigned jobs)
 {
-    using telemetry::jsonEscape;
-    using telemetry::jsonNumber;
-
     const ProfileSnapshot snap = snapshot();
     const double hz = tscHz();
 
@@ -363,17 +476,12 @@ foldedStacks()
 void
 reset()
 {
-    std::vector<std::shared_ptr<detail::ThreadProf>> states;
-    {
-        Collector &c = collector();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        states = c.states;
-    }
     // Zero counters but keep the nodes: live threads hold cursor
     // pointers into their trees, and those must stay valid.
-    for (const auto &state : states) {
+    for (const auto &state : registeredStates()) {
         std::lock_guard<std::mutex> lock(state->mutex);
         zeroTree(state->root);
+        state->events.clear();
     }
 }
 

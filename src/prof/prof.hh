@@ -1,45 +1,58 @@
 /**
  * @file
- * Cycle-level hot-path profiler.
+ * Cycle-level hot-path profiler and Chrome trace recorder: the one
+ * scope primitive of the code base.
  *
- * RAMP_PROF_SCOPE(var, "phase") opens a scoped phase timer: on
- * entry it reads the TSC (prof/tsc.hh) and descends into the
- * calling thread's hierarchical phase tree, on exit it accumulates
- * the cycle delta and call count into that tree node. Nested scopes
- * build real call trees, so snapshots can report both total cycles
- * (including children) and self cycles (excluding them) per phase
- * path. RAMP_PROF_SCOPE_PMU additionally samples the hardware PMU
- * group (prof/pmu.hh) at entry and exit, attributing cycles,
- * instructions, LLC misses, and branch misses to the phase; when
- * the PMU is unavailable (CI containers) those scopes silently
- * degrade to TSC-only.
+ * RAMP_PROF_SCOPE(var, "phase") opens a scope that feeds two
+ * recorders, each behind its own bit of the enable word
+ * (common/enable.hh):
  *
- * Each thread owns its tree (mutations under a per-thread mutex the
- * way telemetry trace buffers do) and snapshot() merges all trees
- * exactly, keyed by phase-name content — like the metrics registry,
- * totals are schedule-independent for deterministic workloads: the
- * same phases run the same number of times at any --jobs, only the
- * raw cycle counts carry timing noise.
+ *  - profile: on entry it reads the TSC (prof/tsc.hh) and descends
+ *    into the calling thread's hierarchical phase tree, on exit it
+ *    accumulates the cycle delta and call count into that tree
+ *    node. Nested scopes build real call trees, so snapshots can
+ *    report both total cycles (including children) and self cycles
+ *    (excluding them) per phase path. RAMP_PROF_SCOPE_PMU
+ *    additionally samples the hardware PMU group (prof/pmu.hh) at
+ *    entry and exit, attributing cycles, instructions, LLC misses,
+ *    and branch misses to the phase; when the PMU is unavailable
+ *    (CI containers) those scopes silently degrade to TSC-only.
+ *  - trace: the scope appends a Chrome "B" event on entry and the
+ *    matching "E" on exit, so pairs are well-nested per thread by
+ *    construction. A scope may carry one key/value arg, rendered
+ *    into its B event only while tracing. instant() adds "i"
+ *    events; captureLogEvents() tees warn()/inform() lines into
+ *    the trace that way. The event category is the name's prefix
+ *    up to the first '.' ("hma.run" -> "hma").
+ *
+ * Each thread owns its tree and event list (mutations under a
+ * per-thread mutex) and snapshot() merges all trees exactly, keyed
+ * by phase-name content — like the metrics registry, totals are
+ * schedule-independent for deterministic workloads: the same phases
+ * run the same number of times at any --jobs, only the raw cycle
+ * counts carry timing noise. traceJson() concatenates the threads'
+ * events in registration order.
  *
  * Gating follows the house pattern: a disabled site costs one
  * relaxed atomic load and a branch (and allocates nothing — thread
  * state is only created by enabled scopes).
  *
  * Exports: profileJson() renders the self-describing
- * ramp-profile-v1 document and foldedStacks() the matching
- * `path;to;phase self_cycles` flamegraph lines. The harness wires
- * both behind --profile-out / RAMP_PROF_OUT.
+ * ramp-profile-v1 document, foldedStacks() the matching
+ * `path;to;phase self_cycles` flamegraph lines, and traceJson() the
+ * Chrome trace-event document. The harness wires them behind
+ * --profile-out / RAMP_PROF_OUT and --trace-out / RAMP_TRACE_OUT.
  */
 
 #ifndef RAMP_PROF_PROF_HH
 #define RAMP_PROF_PROF_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/enable.hh"
 #include "prof/pmu.hh"
 
 namespace ramp::prof
@@ -48,27 +61,33 @@ namespace ramp::prof
 /** Schema identifier stamped into profile documents. */
 inline constexpr const char *profileSchema = "ramp-profile-v1";
 
-namespace detail
-{
-
-/** Backing flag for enabled(); flip through setEnabled() only. */
-extern std::atomic<bool> profEnabled;
-
-} // namespace detail
-
-/**
- * True when profiling scopes should record (default off). Inline so
- * a disabled site in a per-access loop is one relaxed load and a
- * branch, with no function call.
- */
+/** True when scopes charge the phase trees (default off). */
 inline bool
 enabled()
 {
-    return detail::profEnabled.load(std::memory_order_relaxed);
+    return enable::any(enable::profile);
 }
 
-/** Toggle recording at runtime. */
-void setEnabled(bool on);
+/** Toggle phase-tree recording at runtime. */
+inline void
+setEnabled(bool on)
+{
+    enable::set(enable::profile, on);
+}
+
+/** True when scopes append Chrome trace events (default off). */
+inline bool
+tracing()
+{
+    return enable::any(enable::trace);
+}
+
+/** Toggle trace-event recording at runtime. */
+inline void
+setTracing(bool on)
+{
+    enable::set(enable::trace, on);
+}
 
 /**
  * Intern a dynamic phase name (e.g. "kernel." + microbench case)
@@ -135,7 +154,28 @@ std::string profileJson(const std::string &tool, unsigned jobs);
  */
 std::string foldedStacks();
 
-/** Zero every registered tree's counters (tests). */
+/**
+ * Record an instant ("i") event with an optional key/value arg
+ * when tracing. `name` must outlive the trace (a literal or an
+ * internName() result).
+ */
+void instant(const char *name, const char *arg_key = nullptr,
+             std::string_view arg_value = {});
+
+/**
+ * Tee warn()/inform() lines into the trace as "log.warn" /
+ * "log.inform" instants on top of the current log sink.
+ * Idempotent; stderr output is unchanged.
+ */
+void captureLogEvents();
+
+/**
+ * The merged Chrome trace-event JSON document
+ * ({"traceEvents": [...]}) of everything recorded so far.
+ */
+std::string traceJson();
+
+/** Zero every registered tree's counters and drop all events. */
 void reset();
 
 /** Registered per-thread states (tests: disabled path adds none). */
@@ -150,24 +190,28 @@ struct PhaseNode;
 } // namespace detail
 
 /**
- * RAII phase timer; use through RAMP_PROF_SCOPE /
- * RAMP_PROF_SCOPE_PMU. Captures enabled() at entry and commits at
- * exit even if profiling is toggled off mid-scope, so trees stay
- * balanced.
+ * RAII phase scope; use through RAMP_PROF_SCOPE /
+ * RAMP_PROF_SCOPE_PMU. Captures the profile and trace bits at entry
+ * and commits at exit even if they are toggled off mid-scope, so
+ * trees and B/E pairs stay balanced. `name` must outlive the
+ * recorders (a literal or an internName() result).
  */
 class ScopedPhase
 {
   public:
-    ScopedPhase(const char *name, bool with_pmu)
+    ScopedPhase(const char *name, bool with_pmu,
+                const char *arg_key = nullptr,
+                std::string_view arg_value = {})
     {
-        if (!enabled())
-            return;
-        begin(name, with_pmu);
+        const unsigned mode =
+            enable::which(enable::profile | enable::trace);
+        if (mode != 0)
+            begin(name, with_pmu, mode, arg_key, arg_value);
     }
 
     ~ScopedPhase()
     {
-        if (active_)
+        if (mode_ != 0)
             end();
     }
 
@@ -175,16 +219,18 @@ class ScopedPhase
     ScopedPhase &operator=(const ScopedPhase &) = delete;
 
   private:
-    void begin(const char *name, bool with_pmu);
+    void begin(const char *name, bool with_pmu, unsigned mode,
+               const char *arg_key, std::string_view arg_value);
     void end();
 
-    // Only active_ carries a default: a disabled construction must
-    // cost one byte store beyond the enabled() check, so the other
+    // Only mode_ carries a default: a disabled construction must
+    // cost one store beyond the enable-word check, so the other
     // members (including the PMU start values, stored raw rather
     // than as a PmuSample whose default constructor would zero
     // them) stay uninitialized until begin() runs.
-    bool active_ = false;
+    unsigned mode_ = 0; ///< Enable bits latched at entry.
     bool pmuActive_;
+    const char *name_;
     detail::ThreadProf *state_;
     detail::PhaseNode *node_;
     std::uint64_t startCycles_;
@@ -197,13 +243,17 @@ class ScopedPhase
 } // namespace ramp::prof
 
 /**
- * Open a TSC-only phase scope for the rest of the block:
+ * Open a TSC-only phase scope for the rest of the block, optionally
+ * with one trace arg (key literal, string value):
  *
  *   RAMP_PROF_SCOPE(prof_scope, "cache.access");
+ *   RAMP_PROF_SCOPE(pass_scope, "pass", "workload", name);
  */
-#define RAMP_PROF_SCOPE(var, name) \
-    ::ramp::prof::ScopedPhase var((name), false)
-#define RAMP_PROF_SCOPE_PMU(var, name) \
-    ::ramp::prof::ScopedPhase var((name), true)
+#define RAMP_PROF_SCOPE(var, name, ...) \
+    ::ramp::prof::ScopedPhase var((name), \
+                                  false __VA_OPT__(, ) __VA_ARGS__)
+#define RAMP_PROF_SCOPE_PMU(var, name, ...) \
+    ::ramp::prof::ScopedPhase var((name), \
+                                  true __VA_OPT__(, ) __VA_ARGS__)
 
 #endif // RAMP_PROF_PROF_HH

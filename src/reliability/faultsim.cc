@@ -173,7 +173,6 @@ FaultSim::ShardCounts
 FaultSim::runShard(std::uint64_t trials, std::uint64_t seed,
                    std::uint64_t shard) const
 {
-    RAMP_TELEM_SPAN(shard_span, "faultsim.shard", "reliability");
     RAMP_PROF_SCOPE_PMU(shard_prof, "faultsim.shard");
     // Shard labels are schedule-independent, so ledger analyzers
     // see identical fault streams at any --jobs width.
@@ -239,9 +238,8 @@ FaultSimResult
 FaultSim::run(std::uint64_t trials, std::uint64_t seed,
               runner::ThreadPool *pool) const
 {
-    RAMP_TELEM_SPAN(campaign_span, "faultsim.campaign",
-                    "reliability",
-                    telemetry::traceArg("config", config_.name));
+    RAMP_PROF_SCOPE(campaign_prof, "faultsim.campaign", "config",
+                    config_.name);
 
     // The campaign is embarrassingly parallel: fixed-size shards
     // with SplitMix64-derived seeds make the outcome a pure

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "eventlog/eventlog.hh"
@@ -35,34 +36,34 @@ metricsJson(const std::string &tool, unsigned jobs,
     const auto snap = telemetry::metrics().snapshot();
     std::ostringstream out;
     out << "{\n"
-        << "  \"tool\": \"" << telemetry::jsonEscape(tool)
+        << "  \"tool\": \"" << jsonEscape(tool)
         << "\",\n"
         << "  \"jobs\": " << jobs << ",\n"
         << "  \"derived\": {\n"
         << "    \"l1d_hit_rate\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                hitRate(snap.counterOr("cache.l1d.hits"),
                        snap.counterOr("cache.l1d.misses")))
         << ",\n"
         << "    \"l1i_hit_rate\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                hitRate(snap.counterOr("cache.l1i.hits"),
                        snap.counterOr("cache.l1i.misses")))
         << ",\n"
         << "    \"l2_hit_rate\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                hitRate(snap.counterOr("cache.l2.hits"),
                        snap.counterOr("cache.l2.misses")))
         << ",\n"
         // A share of traffic split across the memories, not a hit
         // rate: the HBM serving an access is not a "hit".
         << "    \"hbm_access_share\": "
-        << telemetry::jsonNumber(
+        << jsonNumber(
                accessShare(snap.counterOr("hma.accesses.hbm"),
                            snap.counterOr("hma.accesses.ddr")))
         << ",\n"
         << "    \"profile_cache_hit_rate\": "
-        << telemetry::jsonNumber(hitRate(
+        << jsonNumber(hitRate(
                snap.counterOr("profile_cache.memory_hits") +
                    snap.counterOr("profile_cache.disk_hits"),
                snap.counterOr("profile_cache.misses")))
@@ -71,10 +72,10 @@ metricsJson(const std::string &tool, unsigned jobs,
     bool first = true;
     for (const auto &[name, hist] : snap.histograms) {
         out << (first ? "\n" : ",\n") << "      \""
-            << telemetry::jsonEscape(name)
-            << "\": {\"p50\": " << telemetry::jsonNumber(hist.p50())
-            << ", \"p95\": " << telemetry::jsonNumber(hist.p95())
-            << ", \"p99\": " << telemetry::jsonNumber(hist.p99())
+            << jsonEscape(name)
+            << "\": {\"p50\": " << jsonNumber(hist.p50())
+            << ", \"p95\": " << jsonNumber(hist.p95())
+            << ", \"p99\": " << jsonNumber(hist.p99())
             << "}";
         first = false;
     }
@@ -85,12 +86,12 @@ metricsJson(const std::string &tool, unsigned jobs,
     for (std::size_t i = 0; i < passes.size(); ++i) {
         const auto &pass = passes[i];
         out << "    {\"workload\": \""
-            << telemetry::jsonEscape(pass.workload)
+            << jsonEscape(pass.workload)
             << "\", \"label\": \""
-            << telemetry::jsonEscape(pass.result.label)
+            << jsonEscape(pass.result.label)
             << "\", \"status\": \"" << passStatusName(pass.status)
             << "\", \"seconds\": "
-            << telemetry::jsonNumber(pass.seconds) << "}"
+            << jsonNumber(pass.seconds) << "}"
             << (i + 1 < passes.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -112,10 +113,11 @@ Harness::Harness(std::string tool, RunnerOptions options)
       report_(tool_)
 {
     validateSystemConfig(config_);
-    if (!options_.metricsPath.empty() ||
-        !options_.tracePath.empty()) {
+    if (!options_.metricsPath.empty())
         telemetry::setEnabled(true);
-        telemetry::captureLogEvents();
+    if (!options_.tracePath.empty()) {
+        prof::setTracing(true);
+        prof::captureLogEvents();
     }
     if (!options_.eventsPath.empty()) {
         eventlog::setEnabled(true);
@@ -223,10 +225,7 @@ Harness::runPassesImpl(const std::vector<PassDesc> &descs,
         const PassDesc &desc = descs[index];
         PassOutcome &out = outcomes[index];
 
-        RAMP_TELEM_SPAN(
-            pass_span, "pass", "runner",
-            telemetry::traceArg("workload", desc.workload));
-        RAMP_PROF_SCOPE(pass_prof, "runner.pass");
+        RAMP_PROF_SCOPE(pass_prof, "pass", "workload", desc.workload);
         // Ledger run label: "<workload>/<pass label>". The label
         // half of the checkpoint key is unique per (workload,
         // pass) and schedule-independent, so analyzers can sort
@@ -441,7 +440,7 @@ Harness::flushOutputs()
     }
     if (!options_.tracePath.empty() &&
         !atomicWriteFile(options_.tracePath,
-                         telemetry::traceJson())) {
+                         prof::traceJson())) {
         std::fprintf(stderr, "%s: cannot write trace to %s\n",
                      tool_.c_str(), options_.tracePath.c_str());
         code = 1;

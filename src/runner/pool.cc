@@ -33,7 +33,7 @@ poolTelemetry()
     return telemetry;
 }
 
-/** Run one task index, wrapped in a span and lifetime histogram. */
+/** Run one task index, wrapped in a scope and lifetime histogram. */
 void
 runInstrumented(const std::function<void(std::size_t)> &task,
                 std::size_t index)
@@ -44,7 +44,6 @@ runInstrumented(const std::function<void(std::size_t)> &task,
     if (telemetry::enabled()) {
         auto &tel = poolTelemetry();
         tel.tasks.add(1);
-        telemetry::ScopedSpan span("pool.task", "runner");
         const auto start = std::chrono::steady_clock::now();
         task(index);
         tel.taskSeconds.observe(

@@ -1,11 +1,10 @@
 #include "runner/report.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "runner/checkpoint.hh"
@@ -227,49 +226,6 @@ Report::failures() const
             out.push_back(pass);
     return out;
 }
-
-namespace
-{
-
-/** JSON string escaping (control characters, quotes, backslash). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Finite JSON number (JSON has no inf/nan; render as null). */
-std::string
-jsonNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    std::ostringstream out;
-    out.precision(17);
-    out << value;
-    return out.str();
-}
-
-} // namespace
 
 bool
 Report::writeJson(const std::string &path, unsigned jobs,

@@ -3,8 +3,8 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "telemetry/telemetry.hh"
 
 namespace ramp::telemetry
 {

@@ -39,7 +39,7 @@ class EventlogTest : public ::testing::Test
         eventlog::setEnabled(false);
         eventlog::reset();
         telemetry::setEnabled(false);
-        telemetry::resetAll();
+        telemetry::metrics().resetValues();
     }
 };
 
@@ -308,7 +308,7 @@ countLedger()
 void
 checkEngineAccounting(MigrationEngine &engine)
 {
-    telemetry::resetAll();
+    telemetry::metrics().resetValues();
     telemetry::setEnabled(true);
     eventlog::reset();
     eventlog::setEnabled(true);

@@ -40,14 +40,14 @@ class PerfTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        telemetry::resetAll();
+        telemetry::metrics().resetValues();
         telemetry::setEnabled(true);
     }
 
     void TearDown() override
     {
         telemetry::setEnabled(false);
-        telemetry::resetAll();
+        telemetry::metrics().resetValues();
     }
 };
 

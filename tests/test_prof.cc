@@ -9,22 +9,28 @@
  * TSC-only profiles, the exporters (ramp-profile-v1 JSON, folded
  * stacks) stay self-consistent, the profile diff flags real
  * regressions and nothing else, and the analyzer's calls view is
- * byte-identical at --jobs 1 and --jobs 4.
+ * byte-identical at --jobs 1 and --jobs 4. The same scopes feed the
+ * Chrome trace: its JSON is well-formed, B/E pairs nest per thread,
+ * and with both recorders on each phase's B count equals its calls.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "perf/json.hh"
 #include "perf/prof_report.hh"
 #include "prof/pmu.hh"
 #include "prof/prof.hh"
 #include "prof/tsc.hh"
+#include "reliability/faultsim.hh"
 #include "runner/pool.hh"
+#include "telemetry/telemetry.hh"
 
 namespace ramp
 {
@@ -53,6 +59,7 @@ class ProfTest : public ::testing::Test
     void TearDown() override
     {
         prof::setEnabled(false);
+        prof::setTracing(false);
         prof::detail::setCycleSourceForTest(nullptr);
         prof::pmuForceUnavailableForTest(false);
         prof::reset();
@@ -166,6 +173,7 @@ TEST_F(ProfTest, ThreadMergeConservesCallCounts)
 TEST_F(ProfTest, DisabledScopesAllocateNoThreadState)
 {
     prof::setEnabled(false);
+    ASSERT_EQ(enable::which(~0u), 0u) << "every recorder bit off";
     const std::size_t states_before =
         prof::threadStateCountForTest();
 
@@ -175,7 +183,9 @@ TEST_F(ProfTest, DisabledScopesAllocateNoThreadState)
     std::thread worker([] {
         for (int i = 0; i < 1000; ++i) {
             RAMP_PROF_SCOPE(scope, "disabled.phase");
-            RAMP_PROF_SCOPE_PMU(pmu_scope, "disabled.pmu");
+            RAMP_PROF_SCOPE_PMU(pmu_scope, "disabled.pmu", "key",
+                                "value");
+            prof::instant("disabled.instant");
         }
     });
     worker.join();
@@ -357,6 +367,206 @@ TEST_F(ProfTest, CallsViewIsInvariantAcrossJobs)
     // Aggregated structure (phase paths + call counts) must be
     // byte-identical at any pool width; only raw cycles may move.
     EXPECT_EQ(serial, parallel);
+}
+
+/** One parsed Chrome trace event. */
+struct Event
+{
+    std::string name;
+    std::string cat;
+    std::string phase;
+    double ts = 0;
+    double tid = 0;
+    std::string arg; ///< The single arg's value ("" for none).
+};
+
+/** Parse prof::traceJson(); fails the test on malformed JSON. */
+std::vector<Event>
+traceEvents()
+{
+    perf::JsonValue json;
+    std::string error;
+    EXPECT_TRUE(perf::parseJson(prof::traceJson(), json, error))
+        << error;
+    std::vector<Event> events;
+    const perf::JsonValue *list = json.find("traceEvents");
+    if (list == nullptr || !list->isArray()) {
+        ADD_FAILURE() << "no traceEvents array";
+        return events;
+    }
+    for (const perf::JsonValue &value : list->array) {
+        Event event;
+        event.name = value.stringOr("name", "");
+        event.cat = value.stringOr("cat", "");
+        event.phase = value.stringOr("ph", "");
+        event.ts = value.numberOr("ts", -1);
+        event.tid = value.numberOr("tid", -1);
+        if (const perf::JsonValue *args = value.find("args"))
+            if (!args->object.empty())
+                event.arg = args->object.begin()->second.string;
+        events.push_back(event);
+    }
+    return events;
+}
+
+/** Tracing (and nothing else) on for each test body. */
+class TraceTest : public ProfTest
+{
+  protected:
+    void SetUp() override
+    {
+        ProfTest::SetUp();
+        prof::setEnabled(false);
+        prof::setTracing(true);
+    }
+};
+
+TEST_F(TraceTest, TraceJsonIsWellFormedWithNestedSpans)
+{
+    const std::string quoted = "value \"quoted\"\n";
+    {
+        RAMP_PROF_SCOPE(outer, "test.outer", "key", quoted);
+        {
+            RAMP_PROF_SCOPE(inner, "test.inner");
+        }
+        prof::instant("test.marker");
+    }
+
+    const auto events = traceEvents();
+    ASSERT_EQ(events.size(), 5u);
+    // The arg survives escaping, and the category is the name's
+    // prefix up to the first '.'.
+    EXPECT_EQ(events[0].arg, quoted);
+    for (const Event &event : events)
+        EXPECT_EQ(event.cat, "test") << event.name;
+
+    // Scopes are well-nested per thread by construction: walking
+    // each thread's events, every E closes the latest open B.
+    std::map<double, std::vector<std::string>> open;
+    for (const Event &event : events) {
+        if (event.phase == "B") {
+            open[event.tid].push_back(event.name);
+        } else if (event.phase == "E") {
+            ASSERT_FALSE(open[event.tid].empty());
+            EXPECT_EQ(open[event.tid].back(), event.name);
+            open[event.tid].pop_back();
+        } else {
+            EXPECT_EQ(event.phase, "i");
+        }
+    }
+    for (const auto &[tid, stack] : open)
+        EXPECT_TRUE(stack.empty()) << tid;
+}
+
+TEST_F(TraceTest, SpanOrderIsBeginInnerEnd)
+{
+    {
+        RAMP_PROF_SCOPE(outer, "outer");
+        RAMP_PROF_SCOPE(inner, "inner");
+    }
+    const auto events = traceEvents();
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_EQ(events[0].name, "outer");
+    EXPECT_EQ(events[0].phase, "B");
+    EXPECT_EQ(events[1].name, "inner");
+    EXPECT_EQ(events[1].phase, "B");
+    // Destruction order is inverse construction order.
+    EXPECT_EQ(events[2].name, "inner");
+    EXPECT_EQ(events[2].phase, "E");
+    EXPECT_EQ(events[3].name, "outer");
+    EXPECT_EQ(events[3].phase, "E");
+    EXPECT_LE(events[0].ts, events[3].ts);
+    // Tracing alone leaves the phase trees empty.
+    EXPECT_TRUE(prof::snapshot().phases.empty());
+}
+
+TEST_F(TraceTest, FaultSimShardsEmitSpansAndCounters)
+{
+    telemetry::metrics().resetValues();
+    telemetry::setEnabled(true);
+    FaultSim sim(FaultSimConfig::hbmSecDed());
+    sim.run(2000, 42);
+    const auto snap = telemetry::metrics().snapshot();
+    telemetry::setEnabled(false);
+    telemetry::metrics().resetValues();
+
+    EXPECT_EQ(snap.counterOr("faultsim.trials"), 2000u);
+    EXPECT_GE(snap.counterOr("faultsim.shards"), 1u);
+
+    bool campaign_span = false, shard_span = false;
+    for (const Event &event : traceEvents()) {
+        if (event.phase != "B")
+            continue;
+        if (event.name == "faultsim.campaign") {
+            campaign_span = true;
+            EXPECT_EQ(event.arg, "HBM-SEC-DED");
+        }
+        shard_span |= event.name == "faultsim.shard";
+    }
+    EXPECT_TRUE(campaign_span);
+    EXPECT_TRUE(shard_span);
+}
+
+TEST_F(TraceTest, LogCaptureEmitsInstantEvents)
+{
+    prof::captureLogEvents();
+    ramp_warn("trace capture probe");
+
+    bool saw = false;
+    for (const Event &event : traceEvents())
+        if (event.phase == "i" && event.cat == "log" &&
+            event.name == "log.warn" &&
+            event.arg.find("trace capture probe") != std::string::npos)
+            saw = true;
+    EXPECT_TRUE(saw);
+}
+
+TEST_F(ProfTest, TraceBeginCountsEqualProfileCalls)
+{
+    const auto run_campaign = [] {
+        runner::ThreadPool pool(4);
+        pool.runIndexed(32, [](std::size_t index) {
+            RAMP_PROF_SCOPE(task, "both.task", "index",
+                            std::to_string(index));
+            for (std::size_t i = 0; i <= index % 3; ++i) {
+                RAMP_PROF_SCOPE_PMU(step, "both.step");
+            }
+        });
+    };
+
+    // Both recorders on: one scope feeds both stores, so every
+    // phase's B-event count equals its snapshot calls (summed over
+    // the paths ending in it: pool.task;both.task, ...).
+    prof::setTracing(true);
+    run_campaign();
+    std::map<std::string, std::uint64_t> begins, ends, calls;
+    for (const Event &event : traceEvents()) {
+        if (event.phase == "B")
+            ++begins[event.name];
+        else if (event.phase == "E")
+            ++ends[event.name];
+    }
+    for (const prof::PhaseStat &phase : prof::snapshot().phases)
+        calls[phase.name] += phase.calls;
+    EXPECT_EQ(begins["both.task"], 32u);
+    EXPECT_EQ(begins["both.step"], 11u * 1 + 11u * 2 + 10u * 3);
+    EXPECT_EQ(begins, calls);
+    EXPECT_EQ(ends, calls);
+
+    // Profile only: the trace stays empty.
+    prof::reset();
+    prof::setTracing(false);
+    run_campaign();
+    EXPECT_TRUE(traceEvents().empty());
+    EXPECT_FALSE(prof::snapshot().phases.empty());
+
+    // Trace only: the phase trees stay empty.
+    prof::reset();
+    prof::setEnabled(false);
+    prof::setTracing(true);
+    run_campaign();
+    EXPECT_FALSE(traceEvents().empty());
+    EXPECT_TRUE(prof::snapshot().phases.empty());
 }
 
 } // namespace

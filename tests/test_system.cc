@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 
 #include "hma/system.hh"
 #include "reliability/avf.hh"
+#include "telemetry/telemetry.hh"
 
 namespace ramp
 {
@@ -211,6 +213,48 @@ TEST(System, EmptyTracesYieldEmptyResult)
     EXPECT_EQ(result.requests, 0u);
     EXPECT_EQ(result.makespan, 1u);
     EXPECT_EQ(result.ipc, 0.0);
+}
+
+TEST(System, AccessCountersMatchRunResults)
+{
+    // hma.accesses.{hbm,ddr} are added once per run from the run's
+    // own request counts: their totals over several runs (DDR-only,
+    // all-HBM, migrating) must equal the results' requests split by
+    // hbmAccessFraction.
+    const auto config = smallConfig();
+    const auto traces = smallTraces(64, 20000);
+    telemetry::metrics().resetValues();
+    telemetry::setEnabled(true);
+
+    std::vector<SimResult> results;
+    HmaSystem system(config);
+    results.push_back(
+        system.run(traces, PlacementMap(config.hbmPages())));
+    PlacementMap hbm_map(config.hbmPages());
+    for (PageId page = 0; page < 64; ++page)
+        hbm_map.place(page, MemoryId::HBM);
+    results.push_back(HmaSystem(config).run(traces, hbm_map));
+    PerfFocusedMigration engine(config.fcIntervalCycles, 64);
+    results.push_back(HmaSystem(config).run(
+        traces, PlacementMap(config.hbmPages()), &engine));
+
+    const auto snap = telemetry::metrics().snapshot();
+    telemetry::setEnabled(false);
+    telemetry::metrics().resetValues();
+
+    std::uint64_t hbm = 0, ddr = 0;
+    for (const SimResult &result : results) {
+        const auto run_hbm = static_cast<std::uint64_t>(std::llround(
+            result.hbmAccessFraction *
+            static_cast<double>(result.requests)));
+        hbm += run_hbm;
+        ddr += result.requests - run_hbm;
+    }
+    EXPECT_GT(hbm, 0u);
+    EXPECT_GT(ddr, 0u);
+    EXPECT_EQ(snap.counterOr("hma.accesses.hbm"), hbm);
+    EXPECT_EQ(snap.counterOr("hma.accesses.ddr"), ddr);
+    EXPECT_EQ(snap.counterOr("hma.runs"), results.size());
 }
 
 } // namespace

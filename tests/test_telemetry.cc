@@ -2,23 +2,19 @@
  * @file
  * Unit tests for the telemetry subsystem (src/telemetry): sharded
  * counter exactness under threads, fixed-bucket histogram
- * semantics, snapshot determinism under the pool, and trace-event
- * JSON well-formedness.
+ * semantics, snapshot determinism under the pool, and the JSON
+ * number renderer. Trace events are tested with the profiler's
+ * scopes in test_prof.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cctype>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/logging.hh"
-#include "reliability/faultsim.hh"
 #include "runner/pool.hh"
 #include "telemetry/telemetry.hh"
 
@@ -33,14 +29,14 @@ class TelemetryTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        resetAll();
+        metrics().resetValues();
         setEnabled(true);
     }
 
     void TearDown() override
     {
         setEnabled(false);
-        resetAll();
+        metrics().resetValues();
     }
 };
 
@@ -222,12 +218,7 @@ TEST_F(TelemetryTest, DisabledSitesRecordNothing)
     setEnabled(false);
     Counter &counter = metrics().counter("test.disabled");
     RAMP_TELEM(counter.add(1));
-    {
-        RAMP_TELEM_SPAN(span, "test.span", "test");
-    }
-    instant("test.instant", "test");
     EXPECT_EQ(counter.total(), 0u);
-    EXPECT_TRUE(collectEvents().empty());
 }
 
 TEST_F(TelemetryTest, SnapshotJsonHasAllSections)
@@ -244,127 +235,6 @@ TEST_F(TelemetryTest, SnapshotJsonHasAllSections)
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
     EXPECT_NE(json.find("\"test.json.counter\": 2"),
               std::string::npos);
-}
-
-/**
- * Minimal JSON well-formedness scanner: validates balanced
- * braces/brackets outside strings and legal escape sequences. Not a
- * full parser, but enough to catch the classic emitter bugs
- * (trailing commas are additionally checked below).
- */
-bool
-jsonBalanced(const std::string &text)
-{
-    std::vector<char> stack;
-    bool in_string = false;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (in_string) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        switch (c) {
-          case '"': in_string = true; break;
-          case '{': stack.push_back('}'); break;
-          case '[': stack.push_back(']'); break;
-          case '}':
-          case ']':
-            if (stack.empty() || stack.back() != c)
-                return false;
-            stack.pop_back();
-            break;
-          default: break;
-        }
-    }
-    return stack.empty() && !in_string;
-}
-
-TEST_F(TelemetryTest, TraceJsonIsWellFormedWithNestedSpans)
-{
-    {
-        RAMP_TELEM_SPAN(outer, "outer", "test",
-                        traceArg("key", "value \"quoted\"\n"));
-        {
-            RAMP_TELEM_SPAN(inner, "inner", "test");
-        }
-        instant("marker", "test");
-    }
-
-    const std::string json = traceJson();
-    EXPECT_TRUE(jsonBalanced(json)) << json;
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_EQ(json.find(",]"), std::string::npos);
-    EXPECT_EQ(json.find(",}"), std::string::npos);
-
-    // Spans are well-nested per thread by construction: walking
-    // this thread's events, every E closes the latest open B.
-    std::vector<std::string> open;
-    for (const auto &event : collectEvents()) {
-        if (event.phase == 'B') {
-            open.push_back(event.name);
-        } else if (event.phase == 'E') {
-            ASSERT_FALSE(open.empty());
-            open.pop_back();
-        }
-    }
-    EXPECT_TRUE(open.empty());
-}
-
-TEST_F(TelemetryTest, SpanOrderIsBeginInnerEnd)
-{
-    {
-        RAMP_TELEM_SPAN(outer, "outer", "test");
-        RAMP_TELEM_SPAN(inner, "inner", "test");
-    }
-    const auto events = collectEvents();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].name, "outer");
-    EXPECT_EQ(events[0].phase, 'B');
-    EXPECT_EQ(events[1].name, "inner");
-    EXPECT_EQ(events[1].phase, 'B');
-    // Destruction order is inverse construction order.
-    EXPECT_EQ(events[2].name, "inner");
-    EXPECT_EQ(events[2].phase, 'E');
-    EXPECT_EQ(events[3].name, "outer");
-    EXPECT_EQ(events[3].phase, 'E');
-    EXPECT_LE(events[0].tsMicros, events[3].tsMicros);
-}
-
-TEST_F(TelemetryTest, FaultSimShardsEmitSpansAndCounters)
-{
-    FaultSim sim(FaultSimConfig::hbmSecDed());
-    sim.run(2000, 42);
-
-    const auto snap = metrics().snapshot();
-    EXPECT_EQ(snap.counterOr("faultsim.trials"), 2000u);
-    EXPECT_GE(snap.counterOr("faultsim.shards"), 1u);
-
-    bool campaign_span = false, shard_span = false;
-    for (const auto &event : collectEvents()) {
-        if (event.phase != 'B')
-            continue;
-        campaign_span |= event.name == "faultsim.campaign";
-        shard_span |= event.name == "faultsim.shard";
-    }
-    EXPECT_TRUE(campaign_span);
-    EXPECT_TRUE(shard_span);
-}
-
-TEST_F(TelemetryTest, LogCaptureEmitsInstantEvents)
-{
-    captureLogEvents();
-    ramp_warn("telemetry capture probe");
-
-    bool saw = false;
-    for (const auto &event : collectEvents())
-        if (event.phase == 'i' && event.cat == "log" &&
-            event.argsJson.find("telemetry capture probe") !=
-                std::string::npos)
-            saw = true;
-    EXPECT_TRUE(saw);
 }
 
 TEST_F(TelemetryTest, SnapshotQuantileAccessorMatchesHistogram)

@@ -42,8 +42,10 @@
 
 #include "common/table.hh"
 #include "perf/json.hh"
+#include "tool_common.hh"
 
 using namespace ramp;
+using namespace ramp::tools;
 
 namespace
 {
@@ -109,34 +111,6 @@ usage()
         "\n"
         "No query prints a per-run summary. Exit: 0 ok, 1 empty\n"
         "result, 2 usage/malformed input.\n");
-}
-
-std::uint64_t
-parseCount(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "ramp_explain: %s needs a non-negative "
-                     "integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
-/** A member's integral value (handles noPage-sized ids exactly). */
-std::uint64_t
-idOr(const perf::JsonValue &object, const std::string &key,
-     std::uint64_t fallback)
-{
-    const perf::JsonValue *member = object.find(key);
-    if (member == nullptr || !member->isNumber())
-        return fallback;
-    // Page ids are small in practice (double-exact); the sentinel
-    // only appears for absent fields, which the writer omits.
-    return static_cast<std::uint64_t>(member->number);
 }
 
 bool
@@ -226,17 +200,6 @@ loadEvents(const std::string &path, std::vector<Event> &events,
 }
 
 std::string
-num(double value, int precision = 6)
-{
-    if (!std::isfinite(value))
-        return "-";
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    return out.str();
-}
-
-std::string
 pageCell(std::uint64_t page)
 {
     return page == noPage ? "-" : std::to_string(page);
@@ -288,9 +251,9 @@ queryPage(const std::vector<Event> &events, std::uint64_t page)
                       event.kind, event.policy,
                       std::to_string(event.epoch), move,
                       event.quadrant.empty() ? "-" : event.quadrant,
-                      num(event.hotness), num(event.wrRatio),
-                      num(event.avf), num(event.threshHot),
-                      num(event.threshRisk)});
+                      num(event.hotness, 6), num(event.wrRatio, 6),
+                      num(event.avf, 6), num(event.threshHot, 6),
+                      num(event.threshRisk, 6)});
         ++rows;
     }
     if (rows == 0) {
@@ -593,7 +556,7 @@ queryFaults(const std::vector<Event> &events)
                         std::to_string(remap("sweep")),
                         std::to_string(remap("retry")),
                         std::to_string(run.degrades),
-                        num(run.backlog)});
+                        num(run.backlog, 6)});
     }
     summary.print(std::cout, "online fault injection (" +
                                  std::to_string(online) +
@@ -615,7 +578,7 @@ queryFaults(const std::vector<Event> &events)
                  attr.inject == nullptr ? "-" : attr.inject->fault,
                  std::to_string(retire.seq),
                  retire.src + "->" + retire.dst,
-                 num(retire.hotness), num(retire.avf)});
+                 num(retire.hotness, 6), num(retire.avf, 6)});
         }
         table.print(std::cout,
                     "retirement attribution (each retired page "
@@ -655,9 +618,9 @@ queryRegion(const std::vector<Event> &events)
                       pageCell(event.region), pageCell(event.page),
                       std::to_string(event.span), what,
                       std::isfinite(event.moved)
-                          ? num(event.moved)
+                          ? num(event.moved, 6)
                           : "-",
-                      num(event.density), num(event.avf)});
+                      num(event.density, 6), num(event.avf, 6)});
         ++rows;
     }
     if (rows == 0) {
@@ -738,7 +701,7 @@ queryTenants(const std::vector<Event> &events)
         table.addRow({std::to_string(id), pageCell(tenant.shard),
                       std::to_string(tenant.epochs),
                       std::to_string(tenant.lastGrant),
-                      num(tenant.residentSum / epochs),
+                      num(tenant.residentSum / epochs, 6),
                       tenant.epochs > 0
                           ? num(tenant.shareSum / epochs, 4)
                           : "-",
@@ -827,16 +790,18 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto count = [&](const char *flag) {
+            return parseCount("ramp_explain", flag, value(flag));
+        };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--page") {
             want_page = true;
-            page = parseCount("--page", value("--page"));
+            page = count("--page");
         } else if (arg == "--top-regret") {
             want_regret = true;
-            regret_k =
-                parseCount("--top-regret", value("--top-regret"));
+            regret_k = count("--top-regret");
         } else if (arg == "--migration-churn") {
             want_churn = true;
         } else if (arg == "--faults") {
@@ -847,8 +812,7 @@ main(int argc, char **argv)
             want_tenants = true;
         } else if (arg == "--tenant") {
             have_tenant_filter = true;
-            tenant_filter =
-                parseCount("--tenant", value("--tenant"));
+            tenant_filter = count("--tenant");
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr,
                          "ramp_explain: unknown flag '%s'\n",

@@ -45,8 +45,10 @@
 
 #include "common/table.hh"
 #include "perf/json.hh"
+#include "tool_common.hh"
 
 using namespace ramp;
+using namespace ramp::tools;
 
 namespace
 {
@@ -115,31 +117,6 @@ usage()
         "\n"
         "No query prints the per-run alert summary. Exit: 0 ok,\n"
         "1 empty result, 2 usage/malformed input.\n");
-}
-
-std::uint64_t
-parseCount(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "ramp_health: %s needs a non-negative "
-                     "integer, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    return value;
-}
-
-std::uint64_t
-idOr(const perf::JsonValue &object, const std::string &key,
-     std::uint64_t fallback)
-{
-    const perf::JsonValue *member = object.find(key);
-    if (member == nullptr || !member->isNumber())
-        return fallback;
-    return static_cast<std::uint64_t>(member->number);
 }
 
 bool
@@ -269,17 +246,6 @@ loadTimeline(const std::string &path, Timeline &timeline,
 }
 
 std::string
-num(double value, int precision = 4)
-{
-    if (!std::isfinite(value))
-        return "-";
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    return out.str();
-}
-
-std::string
 scopeCell(const Alert &alert)
 {
     if (alert.tenant != 0)
@@ -366,7 +332,7 @@ summarize(const Timeline &timeline)
                       std::to_string(run.lastEpoch),
                       std::to_string(run.moves),
                       std::to_string(run.retired),
-                      num(run.worstP99), num(run.worstFairness),
+                      num(run.worstP99, 4), num(run.worstFairness, 4),
                       run.degraded ? "yes" : "no",
                       std::to_string(run.alerts),
                       std::to_string(run.warns)});
@@ -394,8 +360,8 @@ queryRule(const Timeline &timeline, std::uint64_t rule)
             continue;
         table.addRow({alert.severity, alert.signal, alert.source,
                       alert.run, std::to_string(alert.epoch),
-                      scopeCell(alert), num(alert.value),
-                      num(alert.threshold)});
+                      scopeCell(alert), num(alert.value, 4),
+                      num(alert.threshold, 4)});
         ++rows;
     }
     if (rows == 0) {
@@ -426,8 +392,8 @@ queryRuns(const Timeline &timeline)
              std::to_string(sample.moves),
              std::to_string(sample.faultsInjected),
              std::to_string(sample.pagesRetired),
-             num(sample.backlog), num(sample.fairness),
-             num(sample.p99Slowdown),
+             num(sample.backlog, 4), num(sample.fairness, 4),
+             num(sample.p99Slowdown, 4),
              sample.degraded || sample.anyShardDegraded ? "yes"
                                                         : "no",
              std::to_string(sample.tenants),
@@ -448,8 +414,8 @@ followLine(const Alert &alert)
         << alert.source << " " << alert.run << " epoch "
         << alert.epoch << ")";
     if (std::isfinite(alert.threshold))
-        out << " value " << num(alert.value) << " vs "
-            << num(alert.threshold);
+        out << " value " << num(alert.value, 4) << " vs "
+            << num(alert.threshold, 4);
     return out.str();
 }
 
@@ -531,22 +497,25 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto count = [&](const char *flag) {
+            return parseCount("ramp_health", flag, value(flag));
+        };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--rule") {
             want_rule = true;
-            rule = parseCount("--rule", value("--rule"));
+            rule = count("--rule");
         } else if (arg == "--runs") {
             want_runs = true;
         } else if (arg == "--follow") {
             want_follow = true;
         } else if (arg == "--tenant") {
             have_tenant = true;
-            tenant = parseCount("--tenant", value("--tenant"));
+            tenant = count("--tenant");
         } else if (arg == "--shard") {
             have_shard = true;
-            shard = parseCount("--shard", value("--shard"));
+            shard = count("--shard");
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr,
                          "ramp_health: unknown flag '%s'\n",

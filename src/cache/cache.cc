@@ -29,41 +29,29 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     if (config.sizeBytes %
             (config.lineBytes * config.associativity) != 0)
         ramp_fatal("cache size must be a multiple of line * ways");
-    const std::uint64_t sets = config.numSets();
-    if (sets == 0)
+    numSets_ = config.numSets();
+    if (numSets_ == 0)
         ramp_fatal("cache must have at least one set");
-    sets_.resize(sets);
-    for (auto &set : sets_)
-        set.resize(config.associativity);
-}
-
-std::uint64_t
-SetAssocCache::setIndex(Addr addr) const
-{
-    return (addr / config_.lineBytes) % sets_.size();
-}
-
-std::uint64_t
-SetAssocCache::tagOf(Addr addr) const
-{
-    return (addr / config_.lineBytes) / sets_.size();
+    ways_.assign(numSets_ * config.associativity, 0);
 }
 
 SetAssocCache::AccessResult
 SetAssocCache::access(Addr addr, bool is_write)
 {
     ++stats_.accesses;
-    auto &set = sets_[setIndex(addr)];
-    const std::uint64_t tag = tagOf(addr);
+    const std::uint64_t line = addr / config_.lineBytes;
+    const std::size_t ways = config_.associativity;
+    std::uint64_t *const set = &ways_[(line % numSets_) * ways];
+    const std::uint64_t resident = line << 2 | validBit;
+    const std::uint64_t dirty = is_write ? dirtyBit : 0;
 
     AccessResult result;
-    for (std::size_t way = 0; way < set.size(); ++way) {
-        if (set[way].valid && set[way].tag == tag) {
+    for (std::size_t way = 0; way < ways; ++way) {
+        if ((set[way] & ~dirtyBit) == resident) {
             // Hit: move to MRU, update dirtiness.
-            Way line = set[way];
-            line.dirty = line.dirty || is_write;
-            set.erase(set.begin() + static_cast<std::ptrdiff_t>(way));
-            set.insert(set.begin(), line);
+            const std::uint64_t hit = set[way] | dirty;
+            std::copy_backward(set, set + way, set + way + 1);
+            set[0] = hit;
             ++stats_.hits;
             result.hit = true;
             return result;
@@ -72,49 +60,43 @@ SetAssocCache::access(Addr addr, bool is_write)
 
     // Miss: evict LRU, allocate at MRU.
     ++stats_.misses;
-    const Way &victim = set.back();
-    if (victim.valid) {
+    const std::uint64_t victim = set[ways - 1];
+    if ((victim & validBit) != 0) {
         ++stats_.evictions;
-        if (victim.dirty) {
+        if ((victim & dirtyBit) != 0) {
             ++stats_.writebacks;
             result.writeback = true;
-            result.writebackAddr =
-                (victim.tag * sets_.size() + setIndex(addr)) *
-                config_.lineBytes;
+            result.writebackAddr = (victim >> 2) * config_.lineBytes;
         }
     }
-    set.pop_back();
-    Way line;
-    line.tag = tag;
-    line.valid = true;
-    line.dirty = is_write;
-    set.insert(set.begin(), line);
+    std::copy_backward(set, set + ways - 1, set + ways);
+    set[0] = resident | dirty;
     return result;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const auto &set = sets_[setIndex(addr)];
-    const std::uint64_t tag = tagOf(addr);
-    return std::any_of(set.begin(), set.end(), [&](const Way &way) {
-        return way.valid && way.tag == tag;
+    const std::uint64_t line = addr / config_.lineBytes;
+    const std::size_t ways = config_.associativity;
+    const std::uint64_t *const set = &ways_[(line % numSets_) * ways];
+    const std::uint64_t resident = line << 2 | validBit;
+    return std::any_of(set, set + ways, [&](std::uint64_t way) {
+        return (way & ~dirtyBit) == resident;
     });
 }
 
 std::vector<Addr>
 SetAssocCache::flush()
 {
+    // Set-major, MRU to LRU within a set.
     std::vector<Addr> dirty;
-    for (std::uint64_t index = 0; index < sets_.size(); ++index) {
-        for (auto &way : sets_[index]) {
-            if (way.valid && way.dirty) {
-                dirty.push_back((way.tag * sets_.size() + index) *
-                                config_.lineBytes);
-                ++stats_.writebacks;
-            }
-            way = Way{};
+    for (std::uint64_t &way : ways_) {
+        if ((way & (validBit | dirtyBit)) == (validBit | dirtyBit)) {
+            dirty.push_back((way >> 2) * config_.lineBytes);
+            ++stats_.writebacks;
         }
+        way = 0;
     }
     return dirty;
 }

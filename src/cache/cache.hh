@@ -89,19 +89,15 @@ class SetAssocCache
     const CacheConfig &config() const { return config_; }
 
   private:
-    struct Way
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
-
-    std::uint64_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
+    /** @{ @name Packed way: line number << 2 | dirtyBit | validBit */
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
+    /** @} */
 
     CacheConfig config_;
-    /** sets_ is numSets x associativity; index 0 of a set is MRU. */
-    std::vector<std::vector<Way>> sets_;
+    std::uint64_t numSets_;
+    /** numSets x associativity packed ways; way 0 of a set is MRU. */
+    std::vector<std::uint64_t> ways_;
     CacheStats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "cache/filter.hh"
 
-#include <queue>
-
+#include "common/issue_order.hh"
 #include "common/logging.hh"
 
 namespace ramp
@@ -28,21 +27,21 @@ filterTraces(const std::vector<CoreTrace> &cpu_traces,
 
     const std::size_t cores = cpu_traces.size();
     std::vector<std::size_t> cursor(cores, 0);
-    std::vector<std::uint64_t> retired(cores, 0);
     std::vector<std::uint64_t> pending_gap(cores, 0);
     std::vector<CoreTrace> out(cores);
 
     // Interleave cores by retired instruction count so the shared L2
-    // sees the streams merged the way a real multicore would.
-    using Entry = std::pair<std::uint64_t, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+    // sees the streams merged the way a real multicore would: the
+    // core whose next request retires first goes next, the lowest
+    // index on ties (common/issue_order.hh).
+    std::vector<std::uint64_t> next_done(cores, finishedCore);
     for (std::size_t core = 0; core < cores; ++core)
         if (!cpu_traces[core].empty())
-            pq.push({cpu_traces[core][0].instructions(), core});
+            next_done[core] = cpu_traces[core][0].instructions();
 
-    while (!pq.empty()) {
-        const auto [done, core] = pq.top();
-        pq.pop();
+    for (std::size_t core = earliestReady(next_done); core < cores;
+         core = earliestReady(next_done)) {
+        const std::uint64_t done = next_done[core];
         const MemRequest &req = cpu_traces[core][cursor[core]];
         ++local.cpuAccesses;
 
@@ -74,12 +73,10 @@ filterTraces(const std::vector<CoreTrace> &cpu_traces,
             }
         }
 
-        retired[core] = done;
-        if (++cursor[core] < cpu_traces[core].size()) {
-            pq.push({done +
-                         cpu_traces[core][cursor[core]].instructions(),
-                     core});
-        }
+        next_done[core] =
+            ++cursor[core] < cpu_traces[core].size()
+                ? done + cpu_traces[core][cursor[core]].instructions()
+                : finishedCore;
     }
 
     // Teardown: drain dirty lines as trailing writebacks on core 0.

@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -128,6 +129,8 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
         ramp_fatal("ZipfSampler needs at least one item");
     if (alpha < 0)
         ramp_fatal("ZipfSampler skew must be non-negative");
+    if (n > UINT32_MAX)
+        ramp_fatal("ZipfSampler supports at most 2^32 - 1 items");
     cdf_.resize(n);
     double sum = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -137,14 +140,32 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
     for (auto &value : cdf_)
         value /= sum;
     cdf_.back() = 1.0;
+
+    // About one slice per rank, a power of two, at most 2^16.
+    const std::size_t slices = std::bit_ceil(
+        std::min<std::uint64_t>(n, std::uint64_t{1} << 16));
+    guide_.resize(slices + 1);
+    std::uint64_t rank = 0;
+    for (std::size_t j = 0; j <= slices; ++j) {
+        const double bound =
+            static_cast<double>(j) / static_cast<double>(slices);
+        while (cdf_[rank] < bound)
+            ++rank; // ends at n - 1: cdf_.back() is 1.0
+        guide_[j] = static_cast<std::uint32_t>(rank);
+    }
 }
 
 std::uint64_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::rankOf(double u) const
 {
-    const double u = rng.nextDouble();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    // u lies in slice j = floor(u * G), so the first rank with
+    // cdf_ >= u lies in [guide_[j], guide_[j + 1]].
+    const auto slice = static_cast<std::size_t>(
+        u * static_cast<double>(guide_.size() - 1));
+    const auto first = cdf_.begin() + guide_[slice];
+    const auto last = cdf_.begin() + guide_[slice + 1];
+    return static_cast<std::uint64_t>(
+        std::lower_bound(first, last, u) - cdf_.begin());
 }
 
 double

@@ -78,10 +78,11 @@ class Rng
  * Zipf-distributed integer sampler over [0, n).
  *
  * Rank r is drawn with probability proportional to 1 / (r + 1)^alpha.
- * A precomputed inverse-CDF table gives O(log n) sampling; alpha = 0
- * degenerates to the uniform distribution. Used to synthesise the
- * skewed page-hotness populations the paper's placement policies rely
- * on.
+ * A precomputed inverse-CDF table gives O(log n) sampling; a guide
+ * table narrows each search to the ranks one 1/G slice of [0, 1)
+ * covers. alpha = 0 degenerates to the uniform distribution. Used
+ * to synthesise the skewed page-hotness populations the paper's
+ * placement policies rely on.
  */
 class ZipfSampler
 {
@@ -90,7 +91,13 @@ class ZipfSampler
     ZipfSampler(std::uint64_t n, double alpha);
 
     /** Draw a rank in [0, n); rank 0 is the hottest. */
-    std::uint64_t sample(Rng &rng) const;
+    std::uint64_t sample(Rng &rng) const
+    {
+        return rankOf(rng.nextDouble());
+    }
+
+    /** The first rank whose CDF reaches u, for u in [0, 1). */
+    std::uint64_t rankOf(double u) const;
 
     /** Number of items. */
     std::uint64_t size() const { return n_; }
@@ -106,6 +113,12 @@ class ZipfSampler
     double alpha_;
     /** cdf_[i] = P(rank <= i); monotone, final entry 1.0. */
     std::vector<double> cdf_;
+
+    /**
+     * guide_[j] = first rank with cdf_ >= j / G, for j in [0, G];
+     * G = guide_.size() - 1 is a power of two, so u * G is exact.
+     */
+    std::vector<std::uint32_t> guide_;
 };
 
 } // namespace ramp

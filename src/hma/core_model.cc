@@ -1,6 +1,7 @@
 #include "hma/core_model.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 
@@ -30,30 +31,38 @@ CoreModel::computeNextReady()
     Cycle ready = static_cast<Cycle>(computeReady_);
 
     // Retire reads that have certainly completed by then.
-    while (!outstanding_.empty() && outstanding_.top() <= ready)
-        outstanding_.pop();
+    while (!outstanding_.empty() && outstanding_.back() <= ready)
+        outstanding_.pop_back();
 
     // MSHR constraint: wait for the oldest read if all slots busy.
     while (outstanding_.size() >= maxReads_) {
-        ready = std::max(ready, outstanding_.top());
-        outstanding_.pop();
+        ready = std::max(ready, outstanding_.back());
+        outstanding_.pop_back();
     }
 
     // ROB constraint: the next instruction may not be more than
     // robSize_ instructions ahead of an incomplete read.
     const std::uint64_t instr_index = instructions_ + req.gap;
-    while (!robWindow_.empty()) {
-        const auto &[completion, index] = robWindow_.front();
+    while (robHead_ < robWindow_.size()) {
+        const auto &[completion, index] = robWindow_[robHead_];
         if (completion <= ready) {
-            robWindow_.pop_front();
+            ++robHead_;
             continue;
         }
         if (instr_index - index >= robSize_) {
             ready = std::max(ready, completion);
-            robWindow_.pop_front();
+            ++robHead_;
             continue;
         }
         break;
+    }
+    // Compact once the popped prefix outgrows the live window, so
+    // the vector stays O(window) and each entry moves O(1) times.
+    if (robHead_ > 64 && 2 * robHead_ > robWindow_.size()) {
+        robWindow_.erase(robWindow_.begin(),
+                         robWindow_.begin() +
+                             static_cast<std::ptrdiff_t>(robHead_));
+        robHead_ = 0;
     }
 
     computeReady_ = std::max(computeReady_,
@@ -68,7 +77,11 @@ CoreModel::retire(Cycle completion)
     instructions_ += req.instructions();
 
     if (!req.isWrite) {
-        outstanding_.push(completion);
+        outstanding_.insert(std::upper_bound(outstanding_.begin(),
+                                             outstanding_.end(),
+                                             completion,
+                                             std::greater<>()),
+                            completion);
         robWindow_.emplace_back(completion, instructions_);
         finishTime_ = std::max(finishTime_, completion);
     } else {

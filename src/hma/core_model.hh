@@ -14,8 +14,6 @@
 #define RAMP_HMA_CORE_MODEL_HH
 
 #include <cstdint>
-#include <deque>
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
@@ -81,12 +79,18 @@ class CoreModel
     std::uint64_t instructions_ = 0;
     Cycle finishTime_ = 0;
 
-    /** Completion times of outstanding reads (min-heap). */
-    std::priority_queue<Cycle, std::vector<Cycle>,
-                        std::greater<>> outstanding_;
+    /**
+     * Completion times of outstanding reads, sorted latest first so
+     * the earliest pops off the back; at most maxReads_ entries.
+     */
+    std::vector<Cycle> outstanding_;
 
-    /** (completion, instruction index) of in-flight reads. */
-    std::deque<std::pair<Cycle, std::uint64_t>> robWindow_;
+    /**
+     * (completion, instruction index) of in-flight reads in issue
+     * order; the live window starts at robHead_.
+     */
+    std::vector<std::pair<Cycle, std::uint64_t>> robWindow_;
+    std::size_t robHead_ = 0;
 };
 
 } // namespace ramp

@@ -1,11 +1,11 @@
 #include "hma/system.hh"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
-#include <queue>
 
+#include "common/issue_order.hh"
 #include "common/logging.hh"
+#include "common/page_index.hh"
 #include "eventlog/eventlog.hh"
 #include "health/health.hh"
 #include "hma/core_model.hh"
@@ -93,7 +93,7 @@ namespace
 {
 
 /** Slot of a page outside the run's traces. */
-constexpr std::uint32_t noSlot = UINT32_MAX;
+constexpr std::uint32_t noSlot = PageIndex::none;
 
 /** Cached-tier sentinel: re-read the placement on the next access. */
 constexpr std::uint8_t staleTier = 0xff;
@@ -120,21 +120,25 @@ struct HmaSystem::RunPages
 
     /**
      * Stamp every request with its page's slot: slots are handed
-     * out in trace order by an open-addressing PageId -> slot table
-     * (multiplicative hash; tenant ids `t << 24` are too sparse to
-     * index directly). The cached tier and the residency start from
-     * the placement; frames are allocated at first touch.
+     * out in trace order by a PageIndex (common/page_index.hh). The
+     * cached tier and the residency start from the placement;
+     * frames are allocated at first touch.
      */
     RunPages(const std::vector<CoreTrace> &traces,
              const PlacementMap &placement)
+        : pageIndex(1024)
     {
-        rehash(1024);
         requestSlots.resize(traces.size());
         for (std::size_t core = 0; core < traces.size(); ++core) {
             auto &out = requestSlots[core];
             out.reserve(traces[core].size());
-            for (const MemRequest &req : traces[core])
-                out.push_back(intern(pageOf(req.addr)));
+            for (const MemRequest &req : traces[core]) {
+                const PageId page = pageOf(req.addr);
+                const auto slot = static_cast<std::uint32_t>(pages.size());
+                out.push_back(pageIndex.intern(page, slot));
+                if (out.back() == slot)
+                    pages.push_back(page);
+            }
         }
         slots.resize(pages.size());
         hbmCycles.assign(pages.size(), 0);
@@ -148,11 +152,7 @@ struct HmaSystem::RunPages
     }
 
     /** Slot of a page, or noSlot when the traces never touch it. */
-    std::uint32_t find(PageId page) const
-    {
-        const std::size_t i = bucket(page);
-        return keys[i] == page ? keySlots[i] : noSlot;
-    }
+    std::uint32_t find(PageId page) const { return pageIndex.find(page); }
 
     /** First access: allocate the page's line block. */
     void firstTouch(std::uint32_t slot)
@@ -219,47 +219,7 @@ struct HmaSystem::RunPages
     /** @} */
 
   private:
-    /** The page's bucket, or the empty one ending its probe run. */
-    std::size_t bucket(PageId page) const
-    {
-        std::size_t i = static_cast<std::size_t>(
-            (page * 0x9e3779b97f4a7c15ull) >> shift);
-        while (keys[i] != page && keys[i] != invalidPage)
-            i = (i + 1) & mask;
-        return i;
-    }
-
-    std::uint32_t intern(PageId page)
-    {
-        const std::size_t i = bucket(page);
-        if (keys[i] == page)
-            return keySlots[i];
-        const auto slot = static_cast<std::uint32_t>(pages.size());
-        keys[i] = page;
-        keySlots[i] = slot;
-        pages.push_back(page);
-        if (2 * pages.size() > keys.size()) // load factor <= 1/2
-            rehash(2 * keys.size());
-        return slot;
-    }
-
-    void rehash(std::size_t size)
-    {
-        keys.assign(size, invalidPage);
-        keySlots.assign(size, 0);
-        mask = size - 1;
-        shift = 64 - static_cast<unsigned>(std::countr_zero(size));
-        for (std::size_t slot = 0; slot < pages.size(); ++slot) {
-            const std::size_t i = bucket(pages[slot]);
-            keys[i] = pages[slot];
-            keySlots[i] = static_cast<std::uint32_t>(slot);
-        }
-    }
-
-    std::vector<PageId> keys; ///< invalidPage marks an empty bucket
-    std::vector<std::uint32_t> keySlots;
-    std::size_t mask = 0;
-    unsigned shift = 64;
+    PageIndex pageIndex;
     std::vector<std::unique_ptr<AvfLineState[]>> lineChunks;
     std::size_t chunkUsed = chunkPages;
 };
@@ -700,12 +660,12 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         cores.emplace_back(trace, config_.issueWidth, config_.robSize,
                            config_.maxOutstandingReads);
 
-    // Global issue order: earliest-ready core first.
-    using Entry = std::pair<Cycle, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+    // Global issue order: earliest-ready core first, lowest index
+    // on ties (common/issue_order.hh).
+    std::vector<Cycle> ready(cores.size(), finishedCore);
     for (std::size_t i = 0; i < cores.size(); ++i)
         if (!cores[i].done())
-            pq.push({cores[i].nextIssueTime(), i});
+            ready[i] = cores[i].nextIssueTime();
 
     Cycle next_boundary =
         engine != nullptr ? engine->interval() : 0;
@@ -768,9 +728,8 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         }
     };
 
-    while (!pq.empty()) {
-        const auto [ready, core_idx] = pq.top();
-        pq.pop();
+    for (std::size_t core_idx = earliestReady(ready);
+         core_idx < cores.size(); core_idx = earliestReady(ready)) {
         CoreModel &core = cores[core_idx];
         const Cycle issue_t = core.nextIssueTime();
 
@@ -904,8 +863,10 @@ HmaSystem::runInPlace(const std::vector<CoreTrace> &traces,
         if (mem == MemoryId::HBM)
             ++result.hbmAccessFraction; // normalised below
 
-        if (core.retire(req.isWrite ? issue_t : completion)) {
-            pq.push({core.nextIssueTime(), core_idx});
+        if (!core.retire(req.isWrite ? issue_t : completion)) {
+            ready[core_idx] = finishedCore;
+        } else {
+            ready[core_idx] = core.nextIssueTime();
             // Start loading what the core's next request needs, one
             // round of the other cores ahead of its access: its AVF
             // line (the previous round fetched its slot) and the slot

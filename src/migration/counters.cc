@@ -21,48 +21,40 @@ FullCounterTable::FullCounterTable(std::uint32_t bits)
     maxCount_ = (1U << bits) - 1;
 }
 
-void
-FullCounterTable::onAccess(PageId page, bool is_write)
-{
-    auto &counts = counters_[page];
-    auto &field = is_write ? counts.writes : counts.reads;
-    if (field < maxCount_)
-        ++field; // saturating: no overflow (Section 6.3)
-}
-
 FullCounterTable::Counts
 FullCounterTable::countsOf(PageId page) const
 {
-    const auto it = counters_.find(page);
-    return it == counters_.end() ? Counts{} : it->second;
+    const std::uint32_t at = index_.find(page);
+    return at == PageIndex::none ? Counts{} : touched_[at].counts;
 }
 
 double
 FullCounterTable::meanHotness() const
 {
-    if (counters_.empty())
+    if (touched_.empty())
         return 0.0;
     double sum = 0;
-    for (const auto &[page, counts] : counters_)
-        sum += counts.hotness();
-    return sum / static_cast<double>(counters_.size());
+    for (const Entry &entry : touched_)
+        sum += entry.counts.hotness();
+    return sum / static_cast<double>(touched_.size());
 }
 
 double
 FullCounterTable::meanWrRatio() const
 {
-    if (counters_.empty())
+    if (touched_.empty())
         return 0.0;
     double sum = 0;
-    for (const auto &[page, counts] : counters_)
-        sum += counts.wrRatio();
-    return sum / static_cast<double>(counters_.size());
+    for (const Entry &entry : touched_)
+        sum += entry.counts.wrRatio();
+    return sum / static_cast<double>(touched_.size());
 }
 
 void
 FullCounterTable::reset()
 {
-    counters_.clear();
+    index_.clear(touched_, [](const Entry &entry) { return entry.page; });
+    touched_.clear();
 }
 
 std::uint64_t
@@ -78,51 +70,50 @@ MeaTracker::MeaTracker(std::size_t entries)
 {
     if (entries == 0)
         ramp_fatal("MEA tracker needs at least one entry");
+    entries_.reserve(entries);
 }
 
 void
 MeaTracker::onAccess(PageId page)
 {
-    const auto it = map_.find(page);
-    if (it != map_.end()) {
-        ++it->second;
-        return;
+    for (Entry &entry : entries_) {
+        if (entry.page == page) {
+            ++entry.count;
+            return;
+        }
     }
-    if (map_.size() < capacity_) {
-        map_.emplace(page, 1);
+    if (entries_.size() < capacity_) {
+        entries_.push_back({page, 1});
         return;
     }
     // Misra-Gries step: decrement everyone, drop zeros.
-    for (auto entry = map_.begin(); entry != map_.end();) {
-        if (--entry->second == 0)
-            entry = map_.erase(entry);
-        else
-            ++entry;
-    }
+    for (Entry &entry : entries_)
+        --entry.count;
+    std::erase_if(entries_,
+                  [](const Entry &entry) { return entry.count == 0; });
 }
 
 std::vector<PageId>
 MeaTracker::hotPages() const
 {
-    std::vector<std::pair<PageId, std::uint64_t>> entries(
-        map_.begin(), map_.end());
+    std::vector<Entry> entries = entries_;
     std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
+              [](const Entry &a, const Entry &b) {
+                  if (a.count != b.count)
+                      return a.count > b.count;
+                  return a.page < b.page;
               });
     std::vector<PageId> pages;
     pages.reserve(entries.size());
-    for (const auto &[page, count] : entries)
-        pages.push_back(page);
+    for (const Entry &entry : entries)
+        pages.push_back(entry.page);
     return pages;
 }
 
 void
 MeaTracker::reset()
 {
-    map_.clear();
+    entries_.clear();
 }
 
 std::uint64_t
@@ -137,24 +128,55 @@ RemapCache::RemapCache(std::size_t entries, Cycle miss_penalty)
 {
     if (entries == 0)
         ramp_fatal("remap cache needs at least one entry");
+    if (entries >= nil)
+        ramp_fatal("remap cache is limited to 2^32 - 1 entries");
+}
+
+void
+RemapCache::unlink(std::uint32_t slot)
+{
+    const std::uint32_t before = prev_[slot];
+    const std::uint32_t after = next_[slot];
+    (before == nil ? head_ : next_[before]) = after;
+    (after == nil ? tail_ : prev_[after]) = before;
+}
+
+void
+RemapCache::pushFront(std::uint32_t slot)
+{
+    prev_[slot] = nil;
+    next_[slot] = head_;
+    (head_ == nil ? tail_ : prev_[head_]) = slot;
+    head_ = slot;
 }
 
 Cycle
 RemapCache::lookup(PageId page)
 {
-    const auto it = index_.find(page);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    std::uint32_t slot = index_.find(page);
+    if (slot != PageIndex::none) {
+        if (slot != head_) {
+            unlink(slot);
+            pushFront(slot);
+        }
         ++hits_;
         return 0;
     }
     ++misses_;
-    if (lru_.size() >= capacity_) {
-        index_.erase(lru_.back());
-        lru_.pop_back();
+    if (pages_.size() >= capacity_) {
+        // Full: the LRU slot takes the new page.
+        slot = tail_;
+        index_.erase(pages_[slot]);
+        unlink(slot);
+        pages_[slot] = page;
+    } else {
+        slot = static_cast<std::uint32_t>(pages_.size());
+        pages_.push_back(page);
+        prev_.push_back(nil);
+        next_.push_back(nil);
     }
-    lru_.push_front(page);
-    index_[page] = lru_.begin();
+    pushFront(slot);
+    index_.intern(page, slot);
     return missPenalty_;
 }
 

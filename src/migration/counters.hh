@@ -17,10 +17,9 @@
 #define RAMP_MIGRATION_COUNTERS_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_index.hh"
 #include "common/types.hh"
 
 namespace ramp
@@ -43,20 +42,33 @@ class FullCounterTable
         double wrRatio() const;
     };
 
+    /** One touched page and its counters. */
+    struct Entry
+    {
+        PageId page;
+        Counts counts;
+    };
+
     /** @param bits counter width (the paper uses 8-bit saturating) */
     explicit FullCounterTable(std::uint32_t bits = 8);
 
     /** Count one access. */
-    void onAccess(PageId page, bool is_write);
+    void onAccess(PageId page, bool is_write)
+    {
+        const auto fresh = static_cast<std::uint32_t>(touched_.size());
+        const std::uint32_t at = index_.intern(page, fresh);
+        if (at == fresh)
+            touched_.push_back({page, {}});
+        auto &counts = touched_[at].counts;
+        auto &field = is_write ? counts.writes : counts.reads;
+        field += field < maxCount_; // saturating (Section 6.3)
+    }
 
     /** Counters of one page this interval (zeros if untouched). */
     Counts countsOf(PageId page) const;
 
-    /** All pages touched this interval. */
-    const std::unordered_map<PageId, Counts> &touched() const
-    {
-        return counters_;
-    }
+    /** All pages touched this interval, in first-touch order. */
+    const std::vector<Entry> &touched() const { return touched_; }
 
     /** Mean hotness over touched pages (the dynamic threshold). */
     double meanHotness() const;
@@ -81,7 +93,8 @@ class FullCounterTable
 
   private:
     std::uint32_t maxCount_;
-    std::unordered_map<PageId, Counts> counters_;
+    PageIndex index_; ///< page -> position in touched_
+    std::vector<Entry> touched_;
 };
 
 /** Misra-Gries majority-element hot-page tracker (32 entries). */
@@ -106,8 +119,14 @@ class MeaTracker
     static std::uint64_t storageBytes(std::size_t entries);
 
   private:
+    struct Entry
+    {
+        PageId page;
+        std::uint64_t count;
+    };
+
     std::size_t capacity_;
-    std::unordered_map<PageId, std::uint64_t> map_;
+    std::vector<Entry> entries_; ///< at most capacity_, unordered
 };
 
 /** LRU model of the remap-table cache (64 KB in MemPod). */
@@ -134,12 +153,28 @@ class RemapCache
     static std::uint64_t storageBytes(std::size_t entries);
 
   private:
+    /** Link a slot in at the MRU end. */
+    void pushFront(std::uint32_t slot);
+
+    /** Unlink a slot from the recency list. */
+    void unlink(std::uint32_t slot);
+
+    static constexpr std::uint32_t nil = UINT32_MAX;
+
     std::size_t capacity_;
     Cycle missPenalty_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::list<PageId> lru_; ///< front = MRU
-    std::unordered_map<PageId, std::list<PageId>::iterator> index_;
+    /**
+     * Slot-indexed recency list: slots are handed out in miss order
+     * until the cache is full, then the LRU slot is reused.
+     */
+    std::vector<PageId> pages_;
+    std::vector<std::uint32_t> prev_; ///< towards the MRU end
+    std::vector<std::uint32_t> next_; ///< towards the LRU end
+    std::uint32_t head_ = nil;        ///< MRU slot
+    std::uint32_t tail_ = nil;        ///< LRU slot
+    PageIndex index_;                 ///< page -> slot
 };
 
 } // namespace ramp

@@ -22,7 +22,6 @@ namespace detail
 struct PhaseNode
 {
     const char *name = "";
-    PhaseNode *parent = nullptr;
     std::vector<std::unique_ptr<PhaseNode>> children;
 
     std::uint64_t calls = 0;
@@ -244,8 +243,9 @@ internName(std::string_view name)
 }
 
 void
-ScopedPhase::begin(const char *name, bool with_pmu, unsigned mode,
-                   const char *arg_key, std::string_view arg_value)
+ScopedPhase::begin(const char *name, bool with_pmu, bool at_root,
+                   unsigned mode, const char *arg_key,
+                   std::string_view arg_value)
 {
     mode_ = mode;
     pmuActive_ = false;
@@ -261,7 +261,9 @@ ScopedPhase::begin(const char *name, bool with_pmu, unsigned mode,
             state_->events.push_back(
                 {name, 'B', nowMicros(), std::move(args)});
         if (profile) {
-            detail::PhaseNode *parent = state_->current;
+            caller_ = state_->current;
+            detail::PhaseNode *parent =
+                at_root ? &state_->root : caller_;
             detail::PhaseNode *child = nullptr;
             for (const auto &candidate : parent->children) {
                 if (candidate->name == name ||
@@ -275,7 +277,6 @@ ScopedPhase::begin(const char *name, bool with_pmu, unsigned mode,
                     std::make_unique<detail::PhaseNode>());
                 child = parent->children.back().get();
                 child->name = name;
-                child->parent = parent;
             }
             state_->current = child;
             node_ = child;
@@ -319,7 +320,7 @@ ScopedPhase::end()
             node_->pmuBranchMisses += saturatingDelta(
                 pmuStartBranchMisses_, pmu_stop.branchMisses);
         }
-        state_->current = node_->parent;
+        state_->current = caller_;
     }
     if ((mode_ & enable::trace) != 0)
         state_->events.push_back({name_, 'E', nowMicros(), {}});

@@ -199,6 +199,11 @@ struct PhaseNode;
 class ScopedPhase
 {
   public:
+    /** Tag: open the phase at the thread's root, not its cursor. */
+    struct AtRoot
+    {
+    };
+
     ScopedPhase(const char *name, bool with_pmu,
                 const char *arg_key = nullptr,
                 std::string_view arg_value = {})
@@ -206,7 +211,15 @@ class ScopedPhase
         const unsigned mode =
             enable::which(enable::profile | enable::trace);
         if (mode != 0)
-            begin(name, with_pmu, mode, arg_key, arg_value);
+            begin(name, with_pmu, false, mode, arg_key, arg_value);
+    }
+
+    ScopedPhase(AtRoot, const char *name)
+    {
+        const unsigned mode =
+            enable::which(enable::profile | enable::trace);
+        if (mode != 0)
+            begin(name, false, true, mode, nullptr, {});
     }
 
     ~ScopedPhase()
@@ -219,8 +232,9 @@ class ScopedPhase
     ScopedPhase &operator=(const ScopedPhase &) = delete;
 
   private:
-    void begin(const char *name, bool with_pmu, unsigned mode,
-               const char *arg_key, std::string_view arg_value);
+    void begin(const char *name, bool with_pmu, bool at_root,
+               unsigned mode, const char *arg_key,
+               std::string_view arg_value);
     void end();
 
     // Only mode_ carries a default: a disabled construction must
@@ -233,6 +247,7 @@ class ScopedPhase
     const char *name_;
     detail::ThreadProf *state_;
     detail::PhaseNode *node_;
+    detail::PhaseNode *caller_; ///< the cursor to restore at exit
     std::uint64_t startCycles_;
     std::uint64_t pmuStartCycles_;
     std::uint64_t pmuStartInstructions_;
@@ -255,5 +270,15 @@ class ScopedPhase
 #define RAMP_PROF_SCOPE_PMU(var, name, ...) \
     ::ramp::prof::ScopedPhase var((name), \
                                   true __VA_OPT__(, ) __VA_ARGS__)
+
+/**
+ * Open a TSC-only scope at the thread's phase root whatever scope
+ * encloses it, restoring the enclosing one at exit. Work that the
+ * thread pool may run on the calling thread or on a worker opens
+ * one, so its phase paths do not depend on --jobs.
+ */
+#define RAMP_PROF_ROOT_SCOPE(var, name) \
+    ::ramp::prof::ScopedPhase var(::ramp::prof::ScopedPhase::AtRoot{}, \
+                                  (name))
 
 #endif // RAMP_PROF_PROF_HH

@@ -39,8 +39,10 @@ runInstrumented(const std::function<void(std::size_t)> &task,
                 std::size_t index)
 {
     // TSC-only: dispatch overhead is measured per task, and a PMU
-    // read per task would swamp the thing being measured.
-    RAMP_PROF_SCOPE(task_prof, "pool.task");
+    // read per task would swamp the thing being measured. Rooted:
+    // the same task may run inline under the caller's scope or on
+    // a worker, and its path must not depend on which.
+    RAMP_PROF_ROOT_SCOPE(task_prof, "pool.task");
     if (telemetry::enabled()) {
         auto &tel = poolTelemetry();
         tel.tasks.add(1);

@@ -369,6 +369,48 @@ TEST_F(ProfTest, CallsViewIsInvariantAcrossJobs)
     EXPECT_EQ(serial, parallel);
 }
 
+TEST_F(ProfTest, NestedFanOutPathsAreInvariantAcrossJobs)
+{
+    // A fan-out under an open scope, each task fanning out again:
+    // the calling thread runs some outer tasks inline (under
+    // "campaign.outer") and every nested task inline (under its
+    // shard). Pool tasks start at the root wherever they run.
+    const auto run_campaign = [](unsigned jobs) {
+        prof::reset();
+        runner::ThreadPool pool(jobs);
+        {
+            RAMP_PROF_SCOPE(outer, "campaign.outer");
+            pool.runIndexed(12, [&pool](std::size_t index) {
+                RAMP_PROF_SCOPE(shard, "campaign.shard");
+                pool.runIndexed(index % 3 + 1, [](std::size_t) {
+                    RAMP_PROF_SCOPE(step, "campaign.step");
+                });
+            });
+        }
+        const prof::ProfileSnapshot snap = prof::snapshot();
+        const auto calls = [&](const std::string &path) {
+            const prof::PhaseStat *phase = findPhase(snap, path);
+            return phase == nullptr ? std::uint64_t{0} : phase->calls;
+        };
+        EXPECT_EQ(calls("campaign.outer"), 1u) << jobs;
+        EXPECT_EQ(calls("pool.task"), 36u) << jobs;
+        EXPECT_EQ(calls("pool.task;campaign.shard"), 12u) << jobs;
+        EXPECT_EQ(calls("pool.task;campaign.step"), 24u) << jobs;
+        EXPECT_EQ(snap.phases.size(), 4u) << jobs;
+        perf::JsonValue json;
+        perf::ProfileDoc doc;
+        std::string error;
+        EXPECT_TRUE(perf::parseJson(
+            prof::profileJson("campaign", jobs), json, error))
+            << error;
+        EXPECT_TRUE(perf::parseProfileDoc(json, doc, error))
+            << error;
+        return perf::renderCalls(doc);
+    };
+
+    EXPECT_EQ(run_campaign(1), run_campaign(3));
+}
+
 /** One parsed Chrome trace event. */
 struct Event
 {

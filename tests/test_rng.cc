@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -282,6 +285,72 @@ TEST_P(ZipfAlphaTest, RanksMonotonicallyLessLikely)
 
 INSTANTIATE_TEST_SUITE_P(Alphas, ZipfAlphaTest,
                          ::testing::Values(0.0, 0.3, 0.8, 1.0, 1.5));
+
+/**
+ * The guide-table search returns exactly the rank a binary search
+ * over the whole CDF finds, for every u: at and around each slice
+ * boundary j / G, at u = 0, at the largest double below 1, and on
+ * random draws. The reference CDF repeats the sampler's arithmetic.
+ */
+class ZipfGuideTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>>
+{
+};
+
+TEST_P(ZipfGuideTest, MatchesFullLowerBound)
+{
+    const auto [n, alpha] = GetParam();
+    const ZipfSampler zipf(n, alpha);
+    std::vector<double> cdf(n);
+    double sum = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+        cdf[i] = sum;
+    }
+    for (auto &value : cdf)
+        value /= sum;
+    cdf.back() = 1.0;
+    const auto reference = [&](double u) {
+        return static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    };
+
+    std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+    const std::uint64_t slices =
+        std::bit_ceil(std::min<std::uint64_t>(n, 1 << 16));
+    for (std::uint64_t j = 0; j < slices; ++j) {
+        const double boundary =
+            static_cast<double>(j) / static_cast<double>(slices);
+        probes.push_back(boundary);
+        probes.push_back(std::nextafter(boundary, 1.0));
+        if (j > 0)
+            probes.push_back(std::nextafter(boundary, 0.0));
+    }
+    // The CDF values themselves and their neighbours.
+    for (std::uint64_t i = 0; i + 1 < n && i < 4096; ++i) {
+        probes.push_back(cdf[i]);
+        probes.push_back(std::nextafter(cdf[i], 0.0));
+        probes.push_back(std::nextafter(cdf[i], 1.0));
+    }
+    Rng rng(n * 31 + 7);
+    for (int i = 0; i < 20000; ++i)
+        probes.push_back(rng.nextDouble());
+
+    for (const double u : probes) {
+        if (u < 0.0 || u >= 1.0)
+            continue;
+        ASSERT_EQ(zipf.rankOf(u), reference(u)) << "u = " << u;
+    }
+    Rng a(n), b(n);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(zipf.sample(a), reference(b.nextDouble()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfGuideTest,
+    ::testing::Combine(::testing::Values<std::uint64_t>(
+                           1, 2, 3, 7, 1000, 65536, 100003),
+                       ::testing::Values(0.0, 0.5, 0.99, 1.5, 4.0)));
 
 } // namespace
 } // namespace ramp
